@@ -78,22 +78,40 @@ pub fn scenario_fingerprint(scenario: &Scenario) -> ScenarioFingerprint {
 /// Fingerprints a scenario under an explicit engine salt — exposed so
 /// tests can prove a salt bump misses; production code uses
 /// [`scenario_fingerprint`].
+///
+/// The scenario's `Debug` rendering is streamed straight into the FNV-1a
+/// state, piece by piece as the formatter emits it, so no `String` is
+/// built; the hashed bytes and their order are exactly those of the
+/// rendered text.
 pub fn fingerprint_with_salt(scenario: &Scenario, salt: u64) -> ScenarioFingerprint {
     // The `Debug` rendering is the resolved-field serialisation: it covers
     // every spec field (floats in shortest-round-trip form, so distinct
     // values never collide textually) and changes whenever a field is
     // added — new axes invalidate old entries instead of aliasing them.
-    let rendered = format!("{scenario:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bytes: &[u8]| {
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    fmt::write(&mut h, format_args!("{scenario:?}")).expect("hashing never fails to write");
+    h.fold(&salt.to_le_bytes());
+    ScenarioFingerprint(h.0)
+}
+
+/// FNV-1a state fed by `fmt::Write`, so a `Debug` rendering can be hashed
+/// without materialising it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn fold(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
-    fold(rendered.as_bytes());
-    fold(&salt.to_le_bytes());
-    ScenarioFingerprint(h)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.fold(s.as_bytes());
+        Ok(())
+    }
 }
 
 struct Slot {
@@ -236,15 +254,38 @@ impl ResultCache {
     /// Looks up a record.  Hit and miss counters feed campaign reports;
     /// a hit also refreshes the entry's LRU position.
     pub fn lookup(&self, fingerprint: ScenarioFingerprint) -> Option<RunRecord> {
+        self.lookup_if(fingerprint, |_| true)
+    }
+
+    /// Looks up the record of campaign job `job` (whose fingerprint the
+    /// caller computed once and reuses for the insert on a miss).  An
+    /// entry whose record names another scenario or seed — a fingerprint
+    /// collision or a corrupted segment entry — counts as a miss, so the
+    /// job re-runs and its [`insert`](Self::insert) overwrites the entry.
+    pub fn lookup_job(
+        &self,
+        fingerprint: ScenarioFingerprint,
+        job: &Scenario,
+    ) -> Option<RunRecord> {
+        self.lookup_if(fingerprint, |record| {
+            record.scenario == job.name && record.seed == job.seed
+        })
+    }
+
+    fn lookup_if(
+        &self,
+        fingerprint: ScenarioFingerprint,
+        accept: impl FnOnce(&RunRecord) -> bool,
+    ) -> Option<RunRecord> {
         let mut inner = self.inner.lock().expect("result cache lock");
         match inner.map.get(&fingerprint.0) {
-            Some(slot) => {
+            Some(slot) if accept(&slot.record) => {
                 let record = slot.record.clone();
                 inner.touch(fingerprint.0);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(record)
             }
-            None => {
+            _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -252,8 +293,10 @@ impl ResultCache {
     }
 
     /// Inserts a freshly-computed record, appending it to the segment if
-    /// one is attached.  Re-inserting an existing fingerprint refreshes
-    /// its LRU position without duplicating the disk entry.
+    /// one is attached.  Re-inserting an existing fingerprint with the same
+    /// record refreshes its LRU position without duplicating the disk
+    /// entry; a different record overwrites the entry (and is appended, so
+    /// a segment replay ends on the newer record too).
     pub fn insert(&self, fingerprint: ScenarioFingerprint, record: &RunRecord) {
         if !self.insert_in_memory(fingerprint.0, record.clone()) {
             return;
@@ -268,12 +311,17 @@ impl ResultCache {
         }
     }
 
-    /// Returns whether the fingerprint was new.
+    /// Returns whether the entry changed (a new fingerprint, or a record
+    /// replacing a different one).
     fn insert_in_memory(&self, fingerprint: u64, record: RunRecord) -> bool {
         let mut inner = self.inner.lock().expect("result cache lock");
-        if inner.map.contains_key(&fingerprint) {
+        if let Some(slot) = inner.map.get_mut(&fingerprint) {
+            let changed = slot.record != record;
+            if changed {
+                slot.record = record;
+            }
             inner.touch(fingerprint);
-            return false;
+            return changed;
         }
         inner.clock += 1;
         let stamp = inner.clock;
@@ -435,6 +483,32 @@ mod tests {
         assert_eq!(fp, fingerprint_with_salt(&base, ENGINE_VERSION));
     }
 
+    /// Literals computed by the original `format!`-then-hash fingerprint:
+    /// the streamed hash must reproduce them bit for bit, or every on-disk
+    /// segment written before it would silently go cold.
+    #[test]
+    fn fingerprints_match_pinned_literals() {
+        let fig12b = catalog::find("fig12b-surveillance").expect("in the registry");
+        let vm = catalog::find("vm-surveillance").expect("in the registry");
+        assert!(
+            format!("{vm:?}").contains("\\n"),
+            "the vm spec's Debug rendering carries the escaped asm text"
+        );
+        for (scenario, pinned) in [
+            (fig12b.clone().with_seed(7), 0x8ba2_81b9_18d0_8f76),
+            (fig12b.with_seed(9), 0x1bed_d96d_407c_d328),
+            (vm, 0x62c4_02a8_a8bc_8c12),
+        ] {
+            assert_eq!(
+                scenario_fingerprint(&scenario),
+                ScenarioFingerprint(pinned),
+                "{} seed {}",
+                scenario.name,
+                scenario.seed
+            );
+        }
+    }
+
     #[test]
     fn lru_evicts_oldest_and_refreshes_on_hit() {
         let cache = ResultCache::new(2);
@@ -450,6 +524,38 @@ mod tests {
         assert!(cache.lookup(fps[2]).is_some());
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn a_record_for_another_job_misses_and_is_overwritten_on_disk_too() {
+        let dir = std::env::temp_dir().join(format!(
+            "soter-result-cache-{}-{}",
+            std::process::id(),
+            "identity"
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("results.seg");
+        let job = catalog::find("serve-smoke").expect("in the registry");
+        let fp = scenario_fingerprint(&job);
+        let right = record(&job.name, job.seed);
+        {
+            let cache = ResultCache::with_segment(16, &path).expect("create segment");
+            cache.insert(fp, &record("other", job.seed));
+            assert_eq!(cache.lookup_job(fp, &job), None, "wrong name");
+            cache.insert(fp, &record(&job.name, job.seed + 1));
+            assert_eq!(cache.lookup_job(fp, &job), None, "wrong seed");
+            assert_eq!((cache.hits(), cache.misses()), (0, 2));
+            cache.insert(fp, &right);
+            assert_eq!(cache.lookup_job(fp, &job), Some(right.clone()));
+            assert_eq!(cache.len(), 1);
+        }
+        let reborn = ResultCache::with_segment(16, &path).expect("reload segment");
+        assert_eq!(
+            reborn.lookup_job(fp, &job),
+            Some(right),
+            "replay ends on the overwrite"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   each record carries its matrix index for deterministic reassembly.
 //!   Dropping the stream early cancels all outstanding work.
 
-use crate::cache::{scenario_fingerprint, ResultCache};
+use crate::cache::{scenario_fingerprint, ResultCache, ScenarioFingerprint};
 use crate::runner::{run_scenario_batch, run_scenario_cached, ScenarioOutcome};
 use crate::spec::Scenario;
 use serde::{Deserialize, Serialize};
@@ -291,9 +291,17 @@ fn run_chunk(
     cache: Option<&Arc<PlanCache>>,
     result_cache: Option<&Arc<ResultCache>>,
 ) -> Vec<RunRecord> {
+    let fingerprints: Vec<ScenarioFingerprint> = match result_cache {
+        Some(_) => chunk
+            .iter()
+            .map(|&i| scenario_fingerprint(&jobs[i]))
+            .collect(),
+        None => Vec::new(),
+    };
     let mut slots: Vec<Option<RunRecord>> = chunk
         .iter()
-        .map(|&i| result_cache.and_then(|rc| rc.lookup(scenario_fingerprint(&jobs[i]))))
+        .enumerate()
+        .map(|(k, &i)| result_cache.and_then(|rc| rc.lookup_job(fingerprints[k], &jobs[i])))
         .collect();
     let misses: Vec<usize> = (0..chunk.len()).filter(|&k| slots[k].is_none()).collect();
     if !misses.is_empty() {
@@ -311,7 +319,7 @@ fn run_chunk(
         };
         for (&k, record) in misses.iter().zip(fresh) {
             if let Some(rc) = result_cache {
-                rc.insert(scenario_fingerprint(&jobs[chunk[k]]), &record);
+                rc.insert(fingerprints[k], &record);
             }
             slots[k] = Some(record);
         }

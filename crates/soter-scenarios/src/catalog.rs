@@ -16,6 +16,7 @@ use soter_drone::stack::{AdvancedKind, Protection};
 use soter_runtime::schedule::{delta_slack, JitterSchedule};
 use soter_sim::battery::BatteryModel;
 use soter_sim::wind::WindModel;
+use std::sync::OnceLock;
 
 fn advanced_label(advanced: &AdvancedKind) -> &'static str {
     match advanced {
@@ -433,25 +434,37 @@ pub fn serve_smoke() -> Scenario {
     })
 }
 
+/// The registry, built on first use and shared by every later call.
+fn registry_slice() -> &'static [Scenario] {
+    static REGISTRY: OnceLock<Vec<Scenario>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        let mut scenarios = golden_suite();
+        scenarios.push(serve_smoke());
+        scenarios
+    })
+}
+
 /// Every scenario resolvable *by name*: the golden suite plus the named
 /// utility scenarios ([`serve_smoke`]).  This is the namespace the
 /// `soter-serve` wire protocol runs in — a shard worker receives
 /// `(scenario name, seed)` pairs and resolves them through [`find`], so
 /// only scenarios listed here can be sharded across processes.
+///
+/// The registry is built once per process; this returns a copy of it.
 pub fn registry() -> Vec<Scenario> {
-    let mut scenarios = golden_suite();
-    scenarios.push(serve_smoke());
-    scenarios
+    registry_slice().to_vec()
 }
 
 /// Resolves a catalog scenario by its unique name (see [`registry`]).
 ///
-/// The returned scenario carries the catalog's pinned seed; re-seed it
+/// A name scan over the once-built registry, returning a clone of the
+/// entry — no catalog constructor runs after the first call.  The
+/// returned scenario carries the catalog's pinned seed; re-seed it
 /// with [`Scenario::with_seed`] for campaign fan-out — that is exactly
 /// what a `soter-serve` shard worker does with each `(name, seed)` wire
 /// job, so coordinator-side and worker-side job expansion agree.
 pub fn find(name: &str) -> Option<Scenario> {
-    registry().into_iter().find(|s| s.name == name)
+    registry_slice().iter().find(|s| s.name == name).cloned()
 }
 
 #[cfg(test)]
@@ -507,6 +520,25 @@ mod tests {
             find("fig12a-rta").unwrap().with_seed(9),
             fig12a(Protection::Rta, 3, 120.0).with_seed(9)
         );
+    }
+
+    #[test]
+    fn registry_is_the_golden_suite_then_serve_smoke() {
+        let mut expected = golden_suite();
+        expected.push(serve_smoke());
+        assert_eq!(registry(), expected);
+    }
+
+    #[test]
+    fn editing_a_found_scenario_leaves_the_registry_untouched() {
+        let pinned = find("fig12b-surveillance").expect("in the registry");
+        assert_eq!(pinned, fig12b(7, 2, 150.0));
+        let mut edited = find("fig12b-surveillance")
+            .unwrap()
+            .with_seed(pinned.seed + 100);
+        edited.horizon += 1.0;
+        assert_ne!(edited, pinned);
+        assert_eq!(find("fig12b-surveillance"), Some(pinned));
     }
 
     #[test]

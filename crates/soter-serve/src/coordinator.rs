@@ -59,9 +59,8 @@ use crate::shard::{plan_shards_over, CampaignRequest};
 use crate::worker::ENV_HEARTBEAT_MS;
 use soter_plan::PlanEntry;
 use soter_scenarios::campaign::{CampaignReport, RunRecord};
-use soter_scenarios::scenario_fingerprint;
 use soter_scenarios::spec::Scenario;
-use soter_scenarios::ResultCache;
+use soter_scenarios::{scenario_fingerprint, ResultCache, ScenarioFingerprint};
 use std::collections::{BTreeSet, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -383,12 +382,17 @@ impl ShardCoordinator {
         let mut stats = ServeStats::default();
         let mut slots: Vec<Option<RunRecord>> = vec![None; jobs.len()];
         // Result-cache prefill: answer what the cache already holds and
-        // dispatch only the misses.
+        // dispatch only the misses.  Each job is fingerprinted once; the
+        // insert after the merge reuses it.
+        let fingerprints: Vec<ScenarioFingerprint> = match &self.config.result_cache {
+            Some(_) => jobs.iter().map(scenario_fingerprint).collect(),
+            None => Vec::new(),
+        };
         let missing: Vec<usize> = match &self.config.result_cache {
             Some(cache) => (0..jobs.len())
                 .filter(|&index| {
                     stats.cache_lookups += 1;
-                    match cache.lookup(scenario_fingerprint(&jobs[index])) {
+                    match cache.lookup_job(fingerprints[index], &jobs[index]) {
                         Some(record) => {
                             stats.cache_hits += 1;
                             slots[index] = Some(record);
@@ -475,7 +479,7 @@ impl ShardCoordinator {
         if let Some(cache) = &self.config.result_cache {
             for &index in &missing {
                 if let Some(record) = &slots[index] {
-                    cache.insert(scenario_fingerprint(&jobs[index]), record);
+                    cache.insert(fingerprints[index], record);
                 }
             }
         }

@@ -55,16 +55,7 @@ impl CampaignRequest {
     /// Resolves every scenario name through the catalog and expands the
     /// full job list in deterministic matrix order.
     pub fn resolve_jobs(&self) -> Result<Vec<Scenario>, ServeError> {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|name| {
-                catalog::find(name).ok_or_else(|| ServeError::UnknownScenario(name.clone()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Campaign::new(scenarios)
-            .with_seeds(self.seeds.clone())
-            .jobs())
+        Ok(self.in_process_campaign()?.jobs())
     }
 
     /// The equivalent in-process campaign (what

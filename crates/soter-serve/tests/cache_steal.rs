@@ -6,11 +6,13 @@
 
 use soter_scenarios::campaign::RunRecord;
 use soter_scenarios::catalog;
-use soter_scenarios::golden::record_to_text;
+use soter_scenarios::golden::{golden_path, record_from_text, record_to_text};
+use soter_scenarios::{scenario_fingerprint, ResultCache};
 use soter_serve::daemon::{parse_report_stats, parse_response, Daemon, ServeConfig};
 use soter_serve::worker::{ENV_FORCE_PROTOCOL, ENV_SLOW_FLAG, ENV_SLOW_MS};
 use soter_serve::{CampaignRequest, ServeError, ShardConfig, ShardCoordinator};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn worker_bin() -> PathBuf {
@@ -141,6 +143,54 @@ fn disk_segment_keeps_the_cache_warm_across_daemon_restarts() {
     let (_, warm_records) = parse_response(&warm_block).unwrap();
     assert_eq!(report_bytes(&warm_records), report_bytes(&cold_records));
     let _ = std::fs::remove_file(&segment);
+}
+
+/// A cache entry whose record names another scenario is not served, in
+/// either campaign engine: a wrong-name record planted under a real job's
+/// fingerprint counts as a miss, the job re-runs to its golden record, and
+/// the fresh record overwrites the planted one.
+#[test]
+fn a_cached_record_for_another_job_is_a_miss_and_is_overwritten() {
+    let job = catalog::find("planner-rta").expect("in the registry");
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let golden = record_from_text(
+        &std::fs::read_to_string(golden_path(&golden_dir, &job)).expect("golden snapshot"),
+    )
+    .expect("golden parses");
+    let fingerprint = scenario_fingerprint(&job);
+    let poisoned = || {
+        let cache = Arc::new(ResultCache::new(16));
+        cache.insert(
+            fingerprint,
+            &RunRecord {
+                scenario: "fig12b-surveillance".into(),
+                ..golden.clone()
+            },
+        );
+        cache
+    };
+
+    let cache = poisoned();
+    let in_process = CampaignRequest::new(["planner-rta"])
+        .in_process_campaign()
+        .unwrap()
+        .with_result_cache(Arc::clone(&cache))
+        .run();
+    assert_eq!(in_process.records, vec![golden.clone()]);
+    assert_eq!((cache.hits(), cache.misses()), (0, 1));
+    assert_eq!(cache.lookup_job(fingerprint, &job), Some(golden.clone()));
+
+    let cache = poisoned();
+    let (sharded, stats) = ShardCoordinator::new(CampaignRequest::new(["planner-rta"]))
+        .with_config(ShardConfig {
+            result_cache: Some(Arc::clone(&cache)),
+            ..test_config()
+        })
+        .run_detailed()
+        .expect("the campaign re-runs the job");
+    assert_eq!(sharded.records, vec![golden.clone()]);
+    assert_eq!((stats.cache_hits, stats.cache_lookups), (0, 1));
+    assert_eq!(cache.lookup_job(fingerprint, &job), Some(golden));
 }
 
 /// A wedged-slow straggler (alive, heartbeating, but sleeping before
