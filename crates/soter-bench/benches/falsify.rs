@@ -1,25 +1,26 @@
-//! Falsifier schedule-evaluation throughput (schedules/second) across the
-//! execution strategies the search can use:
+//! Falsifier schedule-evaluation throughput (schedules/second) with and
+//! without the planner-query cache:
 //!
-//! * `sequential-1w` / `sequential-4w` — the pre-batching path: every
-//!   candidate is an independent `run_scenario` through the work-stealing
-//!   campaign engine (no lockstep, no planner cache), at 1 and 4 workers;
-//! * `batched-cold-b8` — a fresh `Falsifier` with batch width 8: one
-//!   lockstep run over a shared compilation, planner cache cold (every
-//!   RRT*/A* query is a miss on the first evaluation);
-//! * `batched-warm-b8` — the same falsifier re-evaluating with its
-//!   planner cache warm, the steady state of a real search: every
-//!   candidate shares the base scenario's planner queries, so the lockstep
-//!   run is planner-free.  This is the configuration the ≥10x
-//!   schedules/s target is recorded against.
+//! * `sequential-1w` / `sequential-4w` — every candidate is an independent
+//!   `run_scenario` through the work-stealing campaign engine with no
+//!   planner cache, at 1 and 4 workers;
+//! * `plan-cache-cold` — a fresh `Falsifier` (it owns a `PlanCache`), so
+//!   every RRT*/A* query of the first evaluation is a miss;
+//! * `plan-cache-warm` / `plan-cache-warm-4w` — the same falsifier
+//!   re-evaluating with its planner cache warm, the steady state of a real
+//!   search, at 1 and 4 workers: every candidate shares the base
+//!   scenario's planner queries, so the runs are planner-free.
 //!
-//! Candidate records are byte-identical across every strategy (pinned by
-//! `tests/falsify_gradient.rs` and asserted again here), so the rows
-//! measure pure execution strategy, not search behaviour.  Results are
-//! written as JSON to `$BENCH_OUT` (default `target/BENCH_falsify.json`);
-//! when `$BENCH_BASELINE` names a committed report, same-name entries are
-//! compared and a >25% schedules/s regression fails the run — the CI
-//! `falsify-smoke` gate, mirroring `bench-smoke`.
+//! The whole speedup over the sequential rows comes from the plan cache.
+//! A lockstep batch engine once ran the same candidates over one shared
+//! compilation; measured at widths 1 and 8 it showed no gain, and it was
+//! deleted.  Candidate records are byte-identical across every row
+//! (asserted here), so the rows measure the cache, not search behaviour.
+//! Results are written as JSON to `$BENCH_OUT` (default
+//! `target/BENCH_falsify.json`); when `$BENCH_BASELINE` names a committed
+//! report, same-name entries are compared and a >25% schedules/s
+//! regression fails the run — the CI `falsify-smoke` gate, mirroring
+//! `bench-smoke`.
 //!
 //! Not a Criterion bench: throughput gating needs one deterministic
 //! number per row, not a sample distribution (`harness = false`).
@@ -39,11 +40,11 @@ const HORIZON: f64 = 10.0;
 /// of the default city block, with randomized inspection targets: every
 /// fresh target costs the stack a full motion-planning query threaded
 /// through 25 pillars, so planner work dominates the run — the workload
-/// class batched falsification with a shared planner cache exists for.
+/// class the falsifier's shared planner cache exists for.
 /// (Cluttered workspaces are exactly where falsification campaigns are
 /// run in anger: tight corridors are where delayed firings turn into
 /// collisions.)  The seed picks a representative planner-active mission;
-/// planner-light seeds exist, and on those batching merely ties the
+/// planner-light seeds exist, and on those the cache merely ties the
 /// sequential path.
 fn base_scenario() -> Scenario {
     let mut obstacles = Vec::new();
@@ -85,7 +86,7 @@ fn space() -> ScheduleSpace {
     }
 }
 
-fn falsifier(workers: usize, batch: usize) -> Falsifier {
+fn falsifier(workers: usize) -> Falsifier {
     Falsifier::new(
         base_scenario(),
         space(),
@@ -95,7 +96,6 @@ fn falsifier(workers: usize, batch: usize) -> Falsifier {
             neighbours: 4,
             workers,
             seed: 7,
-            batch,
             ..FalsifierConfig::default()
         },
     )
@@ -118,8 +118,8 @@ fn candidates() -> Vec<JitterSchedule> {
         .collect()
 }
 
-/// The pre-batching evaluation path: one independent `run_scenario` per
-/// candidate through the campaign engine, no lockstep, no planner cache.
+/// The uncached evaluation path: one independent `run_scenario` per
+/// candidate through the campaign engine, no planner cache.
 fn sequential_records(workers: usize) -> Vec<RunRecord> {
     let scenarios: Vec<Scenario> = candidates()
         .iter()
@@ -163,8 +163,8 @@ fn main() {
     println!("\n=== Falsify throughput: 8 candidate schedules, {HORIZON} s stress horizon ===");
     let mut entries = Vec::new();
     let mut reference: Option<Vec<RunRecord>> = None;
-    let mut sequential_rate = 0.0f64;
-    let mut check = |name: &str, rate: f64, records: Vec<RunRecord>| {
+    let mut row = |name: &str, eval: &mut dyn FnMut() -> Vec<RunRecord>| -> f64 {
+        let (rate, records) = measure(reps, eval);
         println!("{name:<28} {rate:>12.2} schedules/s");
         match &reference {
             None => reference = Some(records),
@@ -173,50 +173,33 @@ fn main() {
                 "{name} diverged from the sequential records"
             ),
         }
+        entries.push(BenchEntry::new(name, rate, "schedules/s"));
+        rate
     };
 
-    let (rate, records) = measure(reps, || sequential_records(1));
-    sequential_rate = sequential_rate.max(rate);
-    check("falsify/sequential-1w", rate, records);
-    entries.push(BenchEntry::new(
-        "falsify/sequential-1w",
-        rate,
-        "schedules/s",
-    ));
+    let sequential_rate = row("falsify/sequential-1w", &mut || sequential_records(1));
+    row("falsify/sequential-4w", &mut || sequential_records(4));
 
-    let (rate, records) = measure(reps, || sequential_records(4));
-    check("falsify/sequential-4w", rate, records);
-    entries.push(BenchEntry::new(
-        "falsify/sequential-4w",
-        rate,
-        "schedules/s",
-    ));
-
-    // Cold: a fresh falsifier per repetition, so every planner query of
-    // the lockstep run is a cache miss.
+    // Cold: a fresh falsifier per repetition, so every planner query is a
+    // cache miss.
     let schedules = candidates();
-    let (rate, records) = measure(reps, || falsifier(1, 8).evaluate(&schedules));
-    check("falsify/batched-cold-b8", rate, records);
-    entries.push(BenchEntry::new(
-        "falsify/batched-cold-b8",
-        rate,
-        "schedules/s",
-    ));
+    row("falsify/plan-cache-cold", &mut || {
+        falsifier(1).evaluate(&schedules)
+    });
 
-    // Warm: one falsifier, cache warmed by an unmeasured evaluation — the
-    // steady state of a running search, and the ≥10x configuration.
-    let warm = falsifier(1, 8);
+    // Warm: one falsifier per worker count, its cache warmed by an
+    // unmeasured evaluation — the steady state of a running search.
+    let warm = falsifier(1);
     let _ = warm.evaluate(&schedules);
-    let (rate, records) = measure(reps, || warm.evaluate(&schedules));
-    check("falsify/batched-warm-b8", rate, records);
-    entries.push(BenchEntry::new(
-        "falsify/batched-warm-b8",
-        rate,
-        "schedules/s",
-    ));
+    let warm_rate = row("falsify/plan-cache-warm", &mut || warm.evaluate(&schedules));
+    let warm_4w = falsifier(4);
+    let _ = warm_4w.evaluate(&schedules);
+    row("falsify/plan-cache-warm-4w", &mut || {
+        warm_4w.evaluate(&schedules)
+    });
     println!(
-        "batched-warm speedup over sequential-1w: {:.1}x",
-        rate / sequential_rate.max(1e-9)
+        "plan-cache-warm speedup over sequential-1w: {:.1}x",
+        warm_rate / sequential_rate.max(1e-9)
     );
 
     let workspace_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -235,7 +218,9 @@ fn main() {
         ("mode", if quick { "quick" } else { "full" }.to_string()),
         (
             "note",
-            "schedules/s of Falsifier::evaluate over 8 candidates; best of repeated runs"
+            "schedules/s of Falsifier::evaluate over 8 candidates; best of repeated runs. \
+             The speedup over the sequential rows comes entirely from the plan cache; \
+             lockstep batch execution was measured at no gain and deleted"
                 .to_string(),
         ),
     ];

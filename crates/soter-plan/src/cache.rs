@@ -1,9 +1,9 @@
-//! A shared planner-query cache for batched lockstep execution.
+//! A planner-query cache shared across the runs of a campaign.
 //!
 //! Seeds (and jitter candidates) that share a scenario repeat the same
 //! RRT*/A* queries: every instance flies the same workspace toward the
 //! same application-issued targets, so the expensive planning calls are
-//! near-duplicates across a batch.  [`PlanCache`] lets any number of
+//! near-duplicates across a campaign.  [`PlanCache`] lets any number of
 //! stacks share one query cache keyed by `(workspace, query)` — **without
 //! breaking byte-identical replay**, which is subtle because planners are
 //! stateful: [`crate::rrt_star::RrtStar`] holds an RNG that advances

@@ -14,8 +14,8 @@
 //!   certified safe planner,
 //! * [`validate`] — plan validation against the workspace (`φ_plan`
 //!   membership), used by the planner RTA module's decision logic,
-//! * [`cache`] — a shared snapshot-chain planner-query cache for batched
-//!   lockstep execution, byte-identical to uncached planning,
+//! * [`cache`] — a snapshot-chain planner-query cache shared across the
+//!   runs of a campaign, byte-identical to uncached planning,
 //! * [`surveillance`] — the surveillance application protocol generating
 //!   patrol targets (round-robin or randomised).
 

@@ -9,9 +9,6 @@
 //!   (DM-STEP, updating the output-enable map), fires controller and free
 //!   nodes (AC-OR-SC-STEP, gating their outputs on the OE map), and lets an
 //!   [`executor::EnvironmentModel`] inject ENVIRONMENT-INPUT transitions,
-//! * [`batch`] — the batched lockstep executor: N instances of one shared
-//!   [`executor::CompiledSystem`] stepped in sweeps over structure-of-arrays
-//!   state, byte-identical per instance to the sequential executor,
 //! * [`trace`] — structured execution traces (node firings, mode switches,
 //!   invariant violations) used by the experiment harness and tests,
 //! * [`jitter`] — the stochastic i.i.d. scheduling-jitter model that delays
@@ -47,15 +44,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod executor;
 pub mod explore;
 pub mod jitter;
 pub mod schedule;
 pub mod trace;
 
-pub use batch::BatchExecutor;
-pub use executor::{CompiledSystem, EnvironmentModel, Executor, ExecutorConfig};
+pub use executor::{EnvironmentModel, Executor, ExecutorConfig};
 pub use explore::{ExplorationReport, SystematicTester};
 pub use jitter::JitterModel;
 pub use schedule::{delta_slack, JitterSchedule, RecordedDelay, RecordedSchedule, ScheduleSampler};

@@ -115,12 +115,6 @@ pub struct FalsifierConfig {
     pub workers: usize,
     /// Falsifier RNG seed (candidate generation is deterministic per seed).
     pub seed: u64,
-    /// Lockstep batch width for candidate evaluation (see
-    /// [`Campaign::with_batch`]).  Purely a throughput knob: candidate
-    /// generation never consults it, and lockstep records are
-    /// byte-identical to sequential ones, so reports are byte-identical
-    /// whatever the width (pinned by `tests/falsify_gradient.rs`).
-    pub batch: usize,
     /// Replace RNG-driven local-search perturbation with deterministic
     /// finite-difference probes of the incumbent (see [`SearchMove`]).
     /// Restart rounds are unchanged and probe rounds consume no RNG, so a
@@ -137,7 +131,6 @@ impl Default for FalsifierConfig {
             neighbours: 4,
             workers: 4,
             seed: 0,
-            batch: 1,
             gradient: false,
         }
     }
@@ -270,7 +263,7 @@ pub struct Falsifier {
     config: FalsifierConfig,
     /// Planner-query cache shared across every evaluation of this
     /// falsifier: candidate schedules repeat the base scenario's RRT*/A*
-    /// queries, so a warm cache is what makes batched evaluation
+    /// queries, so a warm cache is what makes candidate evaluation
     /// planner-free.  Replay is exact, so records are unaffected.
     cache: Arc<PlanCache>,
 }
@@ -331,7 +324,6 @@ impl Falsifier {
         let scenarios: Vec<Scenario> = schedules.iter().map(|s| self.candidate(s)).collect();
         let stream = Campaign::new(scenarios)
             .with_workers(self.config.workers)
-            .with_batch(self.config.batch)
             .with_plan_cache(Arc::clone(&self.cache))
             .stream();
         let total = stream.progress().total();

@@ -3,8 +3,7 @@
 //! global `TopicMap`, `restrict` projections per firing, fresh output maps
 //! merged back, linear calendar scans), the deterministic random-system
 //! generator, and the trace → firing-list projection.  Used by
-//! `executor_equivalence.rs` (sequential executor vs reference) and
-//! `batch_equivalence.rs` (lockstep batch vs sequential vs reference).
+//! `executor_equivalence.rs` (executor vs reference).
 
 #![allow(dead_code)]
 

@@ -4,11 +4,11 @@
 //!
 //! Three angles:
 //!
-//! * every scenario of the pinned catalog suite (single-drone, fleets,
-//!   planner queries, adversarial schedules) re-runs through the campaign
-//!   engine at 1 **and** 4 workers, and every record — digest, monitor
-//!   verdicts, mode switches, targets — must match the committed golden
-//!   byte-for-byte;
+//! * the pinned catalog suite (single-drone, fleets, planner queries,
+//!   adversarial schedules) re-runs as one campaign at 1 **and** 4 workers,
+//!   each with and without a shared planner-query cache, and every record —
+//!   digest, monitor verdicts, mode switches, targets — must match the
+//!   committed golden byte-for-byte;
 //! * mission scenarios re-run twice and must agree on the trace digest and
 //!   the exact event count (the firing-schedule fingerprint);
 //! * a proptest over randomized `FnNode` systems compares the executor,
@@ -21,60 +21,60 @@ mod common;
 use common::{executor_firings, random_system, NaiveExecutor};
 use proptest::prelude::*;
 use soter::core::prelude::*;
+use soter::plan::cache::PlanCache;
 use soter::scenarios::campaign::{Campaign, RunRecord};
 use soter::scenarios::catalog;
 use soter::scenarios::golden::{golden_path, record_from_text};
 use soter::scenarios::runner::run_scenario;
-use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 fn golden_dir() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden"))
 }
 
-/// Runs the whole catalog suite through the campaign engine with the given
-/// worker count and returns the records keyed by scenario name.
-fn campaign_records(workers: usize) -> BTreeMap<String, RunRecord> {
-    let suite = catalog::golden_suite();
-    let seeds: Vec<u64> = suite.iter().map(|s| s.seed).collect();
-    // Every scenario keeps its own seed: fan out one scenario per job by
-    // running a campaign per scenario (seeds differ across the suite).
-    let mut records = BTreeMap::new();
-    for (scenario, seed) in suite.into_iter().zip(seeds) {
-        let report = Campaign::new(vec![scenario])
-            .with_seeds(vec![seed])
-            .with_workers(workers)
-            .run();
-        for record in &report.records {
-            records.insert(record.scenario.clone(), record.clone());
-        }
+/// Runs the whole catalog suite as one campaign (each scenario keeps its
+/// built-in seed) and returns the records in suite order.
+fn campaign_records(workers: usize, plan_cache: Option<&Arc<PlanCache>>) -> Vec<RunRecord> {
+    let mut campaign = Campaign::new(catalog::golden_suite()).with_workers(workers);
+    if let Some(cache) = plan_cache {
+        campaign = campaign.with_plan_cache(Arc::clone(cache));
     }
-    records
+    campaign.run().records
 }
 
-/// The catalog suite must reproduce the committed goldens exactly, at one
-/// worker and at four: same digests, same monitor verdicts, same stats.
+/// The catalog suite must reproduce the committed goldens exactly at one
+/// worker and at four, with and without a planner-query cache shared
+/// across the whole campaign: same digests, same monitor verdicts, same
+/// stats.
 #[test]
 fn catalog_suite_is_digest_identical_to_goldens_at_1_and_4_workers() {
     let suite = catalog::golden_suite();
-    let sequential = campaign_records(1);
-    let parallel = campaign_records(4);
-    assert_eq!(sequential.len(), suite.len());
-    assert_eq!(sequential, parallel, "worker count must not affect records");
-    let mut checked = 0usize;
-    for scenario in &suite {
-        let text = std::fs::read_to_string(golden_path(golden_dir(), scenario))
-            .unwrap_or_else(|e| panic!("missing golden for `{}`: {e}", scenario.name));
-        let golden = record_from_text(&text).expect("golden parses");
-        let actual = &sequential[&scenario.name];
-        assert_eq!(
-            actual, &golden,
-            "scenario `{}` diverged from its golden",
-            scenario.name
-        );
-        checked += 1;
+    let goldens: Vec<RunRecord> = suite
+        .iter()
+        .map(|scenario| {
+            let text = std::fs::read_to_string(golden_path(golden_dir(), scenario))
+                .unwrap_or_else(|e| panic!("missing golden for `{}`: {e}", scenario.name));
+            record_from_text(&text).expect("golden parses")
+        })
+        .collect();
+    assert_eq!(goldens.len(), 30, "the pinned suite covers all 30 goldens");
+    let plan_cache = Arc::new(PlanCache::new());
+    for workers in [1, 4] {
+        for cache in [None, Some(&plan_cache)] {
+            let records = campaign_records(workers, cache);
+            assert_eq!(records.len(), goldens.len());
+            for (actual, golden) in records.iter().zip(&goldens) {
+                assert_eq!(
+                    actual,
+                    golden,
+                    "scenario `{}` diverged from its golden ({workers} workers, plan cache: {})",
+                    golden.scenario,
+                    cache.is_some()
+                );
+            }
+        }
     }
-    assert_eq!(checked, 30, "the pinned suite covers all 30 goldens");
 }
 
 /// Mission scenarios must agree across repeated runs on the full
