@@ -56,15 +56,19 @@ struct TreeNode {
 }
 
 /// A uniform bucket grid over the workspace bounds, indexing tree nodes by
-/// position for the planner's two hot queries.  Both queries reproduce a
-/// linear scan over squared distances, tie-breaks included: `nearest`
-/// returns the lexicographically minimal `(d², index)` pair (a linear
-/// scan's first-minimum) and `within` returns indices in ascending order
-/// (a linear scan's emission order).  Squared distances order identically
-/// to true distances in exact arithmetic; versus the historical
-/// `fl(sqrt(d²))`-based scan they can differ only when two distances
-/// collide within one sqrt ulp — the pinned golden suite verifies that no
-/// shipped scenario is affected.
+/// position for the planner's two hot queries.
+///
+/// * `nearest` reproduces a linear scan over squared distances, tie-break
+///   included: it returns the lexicographically minimal `(d², index)` pair
+///   (a linear scan's first-minimum).  Squared distances order identically
+///   to true distances in exact arithmetic; versus the historical
+///   `fl(sqrt(d²))`-based scan they can differ only when two distances
+///   collide within one sqrt ulp — the pinned plan hash and golden suite
+///   verify that no shipped query is affected.
+/// * `within` returns exactly the linear scan's neighbour *set*, each node
+///   paired with its squared distance, in bucket order.  The order carries
+///   no meaning, and callers must not depend on it: [`choose_parent`]
+///   breaks ties by index explicitly and [`rewire`] is order-free.
 #[derive(Debug, Clone)]
 struct BucketGrid {
     min: Vec3,
@@ -107,71 +111,63 @@ impl BucketGrid {
         self.buckets[b].push((index, p));
     }
 
-    /// Visits every bucket whose Chebyshev cell distance from `c` is
-    /// exactly `ring`.
-    fn for_ring(&self, c: [i64; 3], ring: i64, mut f: impl FnMut([i64; 3], &[(u32, Vec3)])) {
-        let (x0, x1) = (c[0] - ring, c[0] + ring);
-        for x in x0.max(0)..=x1.min(self.dims[0] - 1) {
-            for y in (c[1] - ring).max(0)..=(c[1] + ring).min(self.dims[1] - 1) {
-                for z in (c[2] - ring).max(0)..=(c[2] + ring).min(self.dims[2] - 1) {
-                    let on_ring = x == x0
-                        || x == x1
-                        || y == c[1] - ring
-                        || y == c[1] + ring
-                        || z == c[2] - ring
-                        || z == c[2] + ring;
-                    if ring == 0 || on_ring {
-                        f([x, y, z], &self.buckets[self.bucket_index([x, y, z])]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The exact lower bound of the squared distance from `p` to any node
-    /// stored in bucket `c` — boundary buckets absorb clamped coordinates,
-    /// so their box extends to infinity on the clamped side.  A generous
-    /// slack keeps the bound conservative against the rounding of the box
-    /// corner arithmetic (over-scanning never changes a query result).
-    fn bucket_min_dist2(&self, p: Vec3, c: [i64; 3]) -> f64 {
-        let dx = self.axis_gap(p.x, self.min.x, c[0], self.dims[0]);
-        let dy = self.axis_gap(p.y, self.min.y, c[1], self.dims[1]);
-        let dz = self.axis_gap(p.z, self.min.z, c[2], self.dims[2]);
-        (dx * dx + dy * dy + dz * dz) * (1.0 - 1e-9)
-    }
-
     /// The index of the node nearest to `p` (first index on exact
     /// squared-distance ties, like a linear scan; see the type-level note
-    /// on squared-distance comparisons).
+    /// on squared-distance comparisons).  Rings of buckets are visited
+    /// outward from `p`'s bucket.  Within a ring, whole slabs, columns and
+    /// buckets whose squared gap to `p` exceeds the best distance so far
+    /// are skipped; the gap is slacked against the rounding of the
+    /// bucket-corner arithmetic, so a skipped bucket's nodes all sit
+    /// strictly farther away and skipping never changes the argmin.
     fn nearest(&self, p: Vec3) -> usize {
         let c = self.coords(p);
         let max_ring = self.dims.iter().copied().max().unwrap_or(1);
         let mut best = 0usize;
         let mut best_d2 = f64::INFINITY;
-        let mut found = false;
+        let beyond = |gap2: f64, best_d2: f64| gap2 * (1.0 - 1e-9) > best_d2;
         for ring in 0..=max_ring {
             // Ring-level pruning: reaching a ring-`ring` bucket crosses at
-            // least `ring - 1` whole cell layers (conservatively slacked;
-            // over-scanning never changes the argmin).
+            // least `ring - 1` whole cell layers (conservatively slacked).
             let bound = ((ring - 1).max(0) as f64 * self.cell) * (1.0 - 1e-12);
-            if found && bound > 0.0 && bound * bound > best_d2 {
+            if bound > 0.0 && bound * bound > best_d2 {
                 break;
             }
-            self.for_ring(c, ring, |bucket_c, bucket| {
-                if bucket.is_empty() || (found && self.bucket_min_dist2(p, bucket_c) > best_d2) {
-                    return;
+            let (x0, x1) = (c[0] - ring, c[0] + ring);
+            let (y0, y1) = (c[1] - ring, c[1] + ring);
+            let (z0, z1) = (c[2] - ring, c[2] + ring);
+            for x in x0.max(0)..=x1.min(self.dims[0] - 1) {
+                let gx = self.axis_gap(p.x, self.min.x, x, self.dims[0]);
+                let gx2 = gx * gx;
+                if beyond(gx2, best_d2) {
+                    continue;
                 }
-                for &(i, pos) in bucket {
-                    let d2 = (pos - p).norm_squared();
-                    if d2 < best_d2 || (d2 == best_d2 && (i as usize) < best) {
-                        best_d2 = d2;
-                        best = i as usize;
-                        found = true;
+                let x_on_ring = x == x0 || x == x1;
+                for y in y0.max(0)..=y1.min(self.dims[1] - 1) {
+                    let gy = self.axis_gap(p.y, self.min.y, y, self.dims[1]);
+                    let gxy2 = gx2 + gy * gy;
+                    if beyond(gxy2, best_d2) {
+                        continue;
+                    }
+                    let xy_on_ring = x_on_ring || y == y0 || y == y1;
+                    for z in z0.max(0)..=z1.min(self.dims[2] - 1) {
+                        if !(xy_on_ring || z == z0 || z == z1) {
+                            continue;
+                        }
+                        let gz = self.axis_gap(p.z, self.min.z, z, self.dims[2]);
+                        if beyond(gxy2 + gz * gz, best_d2) {
+                            continue;
+                        }
+                        for &(i, pos) in &self.buckets[self.bucket_index([x, y, z])] {
+                            let d2 = (pos - p).norm_squared();
+                            if d2 < best_d2 || (d2 == best_d2 && (i as usize) < best) {
+                                best_d2 = d2;
+                                best = i as usize;
+                            }
+                        }
                     }
                 }
-            });
+            }
         }
-        let _ = found;
         best
     }
 
@@ -192,33 +188,111 @@ impl BucketGrid {
         (b_lo - v).max(v - b_hi).max(0.0)
     }
 
-    /// Collects into `out` the indices of all nodes within `radius` of
-    /// `p`, ascending (the linear scan's order).  Whole (x, y) columns of
-    /// buckets are pruned by their conservative squared gap to `p` — a
-    /// pruned column's points all sit strictly beyond `radius`, so the
-    /// result set is exactly the linear scan's.
-    fn within(&self, p: Vec3, radius: f64, out: &mut Vec<usize>) {
+    /// Collects into `out` every node within `radius` of `p` as an
+    /// `(index, d²)` pair, in bucket order (see the type-level note: no
+    /// index order is promised).  `d²` is `(position - p).norm_squared()`,
+    /// so `d².sqrt()` is bit-identical to `position.distance(&p)`.  Slabs,
+    /// columns and buckets are pruned on all three axes by their
+    /// conservative squared gap to `p` — a pruned bucket's points all sit
+    /// strictly beyond `radius`, so the result set is exactly the linear
+    /// scan's.
+    fn within(&self, p: Vec3, radius: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
         let c = self.coords(p);
         let r2 = radius * radius;
         let reach = (radius / self.cell).ceil() as i64;
-        for x in (c[0] - reach).max(0)..=(c[0] + reach).min(self.dims[0] - 1) {
+        let range = |a: usize| (c[a] - reach).max(0)..=(c[a] + reach).min(self.dims[a] - 1);
+        let beyond = |gap2: f64| gap2 * (1.0 - 1e-9) > r2;
+        for x in range(0) {
             let gx = self.axis_gap(p.x, self.min.x, x, self.dims[0]);
-            for y in (c[1] - reach).max(0)..=(c[1] + reach).min(self.dims[1] - 1) {
+            let gx2 = gx * gx;
+            if beyond(gx2) {
+                continue;
+            }
+            for y in range(1) {
                 let gy = self.axis_gap(p.y, self.min.y, y, self.dims[1]);
-                if (gx * gx + gy * gy) * (1.0 - 1e-9) > r2 {
+                let gxy2 = gx2 + gy * gy;
+                if beyond(gxy2) {
                     continue;
                 }
-                for z in (c[2] - reach).max(0)..=(c[2] + reach).min(self.dims[2] - 1) {
+                for z in range(2) {
+                    let gz = self.axis_gap(p.z, self.min.z, z, self.dims[2]);
+                    if beyond(gxy2 + gz * gz) {
+                        continue;
+                    }
                     for &(i, pos) in &self.buckets[self.bucket_index([x, y, z])] {
-                        if (pos - p).norm_squared() <= r2 {
-                            out.push(i as usize);
-                        }
+                        let d2 = (pos - p).norm_squared();
+                        // Branch-free filter: push, then drop the entry
+                        // again when it lies beyond the radius.  About half
+                        // the scanned nodes do, so a branch mispredicts.
+                        out.push((i as usize, d2));
+                        let kept = out.len() - usize::from(d2 > r2);
+                        out.truncate(kept);
                     }
                 }
             }
         }
-        out.sort_unstable();
+    }
+}
+
+/// Chooses the parent of a new node at `new_pos` from its neighbourhood
+/// (`(index, d²)` pairs from [`BucketGrid::within`], in any order) and
+/// returns `(parent, cost)`.  The parent is the minimal `(cost, index)`
+/// pair among neighbours that are strictly cheaper than going through
+/// `nearest` and whose edge to `new_pos` is free; `nearest` keeps cost
+/// ties.  That is exactly what a scan in ascending index order with a
+/// strict `<` picks, so the result does not depend on the neighbour order.
+fn choose_parent(
+    tree: &[TreeNode],
+    neighbors: &[(usize, f64)],
+    nearest: usize,
+    new_pos: Vec3,
+    edge_free: impl Fn(usize, Vec3, Vec3) -> bool,
+) -> (usize, f64) {
+    let mut parent = nearest;
+    let mut cost = tree[nearest].cost + tree[nearest].position.distance(&new_pos);
+    for &(i, d2) in neighbors {
+        // Distances are non-negative, so a neighbour whose cost alone
+        // exceeds the incumbent can never win — skip it before paying for
+        // the square root.
+        if tree[i].cost > cost {
+            continue;
+        }
+        let candidate = tree[i].cost + d2.sqrt();
+        // On an exact cost tie the lower index wins, except against
+        // `nearest`, which keeps ties (`parent != nearest` means the
+        // incumbent is a neighbour that already beat `nearest`).
+        let wins = candidate < cost || (candidate == cost && parent != nearest && i < parent);
+        if wins && edge_free(i, tree[i].position, new_pos) {
+            parent = i;
+            cost = candidate;
+        }
+    }
+    (parent, cost)
+}
+
+/// Rewires every neighbour of the new node `new_index` through it when
+/// that is cheaper by more than 1e-9 and the edge is free.  Each test reads
+/// only the neighbour's own cost and the new node's, and each rewire
+/// writes only that neighbour, so the neighbour order does not matter.
+fn rewire(
+    tree: &mut [TreeNode],
+    neighbors: &[(usize, f64)],
+    new_index: usize,
+    edge_free: impl Fn(usize, Vec3, Vec3) -> bool,
+) {
+    let (new_pos, cost) = (tree[new_index].position, tree[new_index].cost);
+    for &(i, d2) in neighbors {
+        // Rewiring needs `cost + d + 1e-9 < tree[i].cost`, impossible once
+        // the new node's cost alone reaches the neighbour's.
+        if cost + 1e-9 >= tree[i].cost {
+            continue;
+        }
+        let through_new = cost + d2.sqrt();
+        if through_new + 1e-9 < tree[i].cost && edge_free(i, new_pos, tree[i].position) {
+            tree[i].parent = Some(new_index);
+            tree[i].cost = through_new;
+        }
     }
 }
 
@@ -227,9 +301,9 @@ impl BucketGrid {
 pub struct RrtStar {
     config: RrtStarConfig,
     rng: SmallRng,
-    /// Neighbourhood scratch, reused across iterations so the inner loop
-    /// allocates nothing (tree growth aside).
-    neighbor_scratch: Vec<usize>,
+    /// Neighbourhood scratch (`(index, d²)` pairs), reused across
+    /// iterations so the inner loop allocates nothing (tree growth aside).
+    neighbor_scratch: Vec<(usize, f64)>,
 }
 
 impl Default for RrtStar {
@@ -367,24 +441,9 @@ impl MotionPlanner for RrtStar {
             if !edge_free(nearest, tree[nearest].position, new_pos) {
                 continue;
             }
-            // Choose the best parent within the neighbourhood.
-            let mut parent = nearest;
-            let mut cost = tree[nearest].cost + tree[nearest].position.distance(&new_pos);
             let mut neighbors = std::mem::take(&mut self.neighbor_scratch);
             grid.within(new_pos, cfg.neighbor_radius, &mut neighbors);
-            for &i in &neighbors {
-                // Distances are non-negative, so a neighbour whose cost
-                // alone reaches the incumbent can never win (strict `<`) —
-                // skip it before paying for the square root.
-                if tree[i].cost >= cost {
-                    continue;
-                }
-                let candidate_cost = tree[i].cost + tree[i].position.distance(&new_pos);
-                if candidate_cost < cost && edge_free(i, tree[i].position, new_pos) {
-                    parent = i;
-                    cost = candidate_cost;
-                }
-            }
+            let (parent, cost) = choose_parent(&tree, &neighbors, nearest, new_pos, edge_free);
             let new_index = tree.len();
             tree.push(TreeNode {
                 position: new_pos,
@@ -392,20 +451,7 @@ impl MotionPlanner for RrtStar {
                 cost,
             });
             grid.insert(new_pos, new_index as u32);
-            // Rewire the neighbourhood through the new node when cheaper.
-            for &i in &neighbors {
-                // Same prefilter in reverse: rewiring needs
-                // `cost + d + 1e-9 < tree[i].cost`, impossible once the new
-                // node's cost alone reaches the neighbour's.
-                if cost + 1e-9 >= tree[i].cost {
-                    continue;
-                }
-                let through_new = cost + new_pos.distance(&tree[i].position);
-                if through_new + 1e-9 < tree[i].cost && edge_free(i, new_pos, tree[i].position) {
-                    tree[i].parent = Some(new_index);
-                    tree[i].cost = through_new;
-                }
-            }
+            rewire(&mut tree, &neighbors, new_index, edge_free);
             self.neighbor_scratch = neighbors;
             // Track the best connection to the goal (distance tests first:
             // most nodes are too far for the segment check to matter).
@@ -443,19 +489,20 @@ mod tests {
     use super::*;
     use crate::validate::validate_plan;
 
-    /// The bucket grid must reproduce the plain linear scans *exactly* —
-    /// argmin tie-breaking and neighbour emission order included — on
+    /// The bucket grid must reproduce the plain linear scans *exactly* on
     /// random point clouds (including stacked duplicate positions, the
-    /// worst case for ties).
+    /// worst case for ties, and queries outside the bounds, which clamp):
+    /// `nearest` with its argmin tie-break, `within` at radii below, at
+    /// and above the cell size as a set whose every squared distance is
+    /// bit-equal to the scan's.
     #[test]
     fn bucket_grid_matches_linear_scans() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(42);
         let (lo, hi) = (Vec3::new(0.0, 0.0, 0.0), Vec3::new(50.0, 50.0, 12.0));
-        let radius = 6.0;
         let mut tree: Vec<TreeNode> = Vec::new();
-        let mut grid = BucketGrid::new(lo, hi, radius);
+        let mut grid = BucketGrid::new(lo, hi, 6.0);
         let mut scratch = Vec::new();
         for round in 0..600 {
             let rand_point = |rng: &mut SmallRng| {
@@ -477,29 +524,280 @@ mod tests {
                 parent: None,
                 cost: 0.0,
             });
-            let q = if round % 5 == 0 {
-                p
-            } else {
-                rand_point(&mut rng)
+            let q = match round % 5 {
+                0 => p,
+                3 => rand_point(&mut rng) * 1.3 - Vec3::new(5.0, 5.0, 2.0),
+                _ => rand_point(&mut rng),
             };
             // Reference: the original linear scans.
             let mut naive_best = 0;
             let mut naive_d = f64::INFINITY;
-            let mut naive_within = Vec::new();
             for (i, n) in tree.iter().enumerate() {
                 let d = n.position.distance(&q);
                 if d < naive_d {
                     naive_d = d;
                     naive_best = i;
                 }
-                if d <= radius {
-                    naive_within.push(i);
-                }
             }
             assert_eq!(grid.nearest(q), naive_best, "round {round}");
-            grid.within(q, radius, &mut scratch);
-            assert_eq!(scratch, naive_within, "round {round}");
+            for radius in [2.5, 6.0, 13.0] {
+                let naive_within: Vec<(usize, u64)> = tree
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, n)| n.position.distance(&q) <= radius)
+                    .map(|(i, n)| (i, (n.position - q).norm_squared().to_bits()))
+                    .collect();
+                grid.within(q, radius, &mut scratch);
+                for &(i, d2) in &scratch {
+                    assert_eq!(
+                        d2.sqrt().to_bits(),
+                        tree[i].position.distance(&q).to_bits(),
+                        "round {round}: d².sqrt() must be the scan's distance"
+                    );
+                }
+                let mut set: Vec<(usize, u64)> =
+                    scratch.iter().map(|&(i, d2)| (i, d2.to_bits())).collect();
+                set.sort_unstable();
+                assert_eq!(set, naive_within, "round {round}, radius {radius}");
+            }
         }
+    }
+
+    /// The old choose-parent and rewire loops, verbatim: neighbour indices
+    /// in ascending order, distances through `Vec3::distance`.  Returns
+    /// the chosen `(parent, cost)` and leaves the rewired tree in `tree`.
+    fn ascending_reference(
+        tree: &mut Vec<TreeNode>,
+        mut neighbors: Vec<usize>,
+        nearest: usize,
+        new_pos: Vec3,
+        edge_free: impl Fn(usize, Vec3, Vec3) -> bool,
+    ) -> (usize, f64) {
+        neighbors.sort_unstable();
+        let mut parent = nearest;
+        let mut cost = tree[nearest].cost + tree[nearest].position.distance(&new_pos);
+        for &i in &neighbors {
+            if tree[i].cost >= cost {
+                continue;
+            }
+            let candidate_cost = tree[i].cost + tree[i].position.distance(&new_pos);
+            if candidate_cost < cost && edge_free(i, tree[i].position, new_pos) {
+                parent = i;
+                cost = candidate_cost;
+            }
+        }
+        let new_index = tree.len();
+        tree.push(TreeNode {
+            position: new_pos,
+            parent: Some(parent),
+            cost,
+        });
+        for &i in &neighbors {
+            if cost + 1e-9 >= tree[i].cost {
+                continue;
+            }
+            let through_new = cost + new_pos.distance(&tree[i].position);
+            if through_new + 1e-9 < tree[i].cost && edge_free(i, new_pos, tree[i].position) {
+                tree[i].parent = Some(new_index);
+                tree[i].cost = through_new;
+            }
+        }
+        (parent, cost)
+    }
+
+    /// The order-free choose-parent and rewire pick the same parent, cost
+    /// bit for bit, and rewire the same nodes as the ascending-order loops
+    /// they replaced, whatever order the neighbourhood arrives in.  The
+    /// clouds sit on an integer lattice around an integer `new_pos` with
+    /// integer costs, so exact candidate-cost ties are everywhere (e.g.
+    /// offsets (3, 4, 0) and (0, 0, 5) are both 5 m away); they stack
+    /// duplicate positions and always hold one node exactly at `new_pos`.
+    #[test]
+    fn order_free_choose_parent_and_rewire_match_ascending_loops() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let radius = 6.0;
+        let (lo, hi) = (Vec3::new(0.0, 0.0, 0.0), Vec3::new(20.0, 20.0, 12.0));
+        let (mut index_broke_tie, mut nearest_kept_tie, mut rewired) = (0usize, 0usize, 0usize);
+        for round in 0..400u64 {
+            let new_pos = Vec3::new(
+                rng.random_range(4..=16) as f64,
+                rng.random_range(4..=16) as f64,
+                rng.random_range(3..=9) as f64,
+            );
+            let mut tree: Vec<TreeNode> = Vec::new();
+            for k in 0..40usize {
+                let position = if k == 5 {
+                    new_pos
+                } else if k % 6 == 0 && k > 0 {
+                    tree[rng.random_range(0..k)].position
+                } else {
+                    new_pos
+                        + Vec3::new(
+                            rng.random_range(-4..=4) as f64,
+                            rng.random_range(-4..=4) as f64,
+                            rng.random_range(-3..=3) as f64,
+                        )
+                };
+                tree.push(TreeNode {
+                    position,
+                    parent: None,
+                    cost: rng.random_range(0..=12) as f64,
+                });
+            }
+            // A pure, index-keyed obstacle oracle: some edges are blocked.
+            let salt = round.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let edge_free =
+                |i: usize, _: Vec3, _: Vec3| !(salt ^ (i as u64 * 0x2545_f491)).is_multiple_of(7);
+            let mut grid = BucketGrid::new(lo, hi, radius);
+            for (i, n) in tree.iter().enumerate() {
+                grid.insert(n.position, i as u32);
+            }
+            let mut bucket_order = Vec::new();
+            grid.within(new_pos, radius, &mut bucket_order);
+            let mut reversed = bucket_order.clone();
+            reversed.reverse();
+            let indices: Vec<usize> = bucket_order.iter().map(|&(i, _)| i).collect();
+            for nearest in [grid.nearest(new_pos), rng.random_range(0..tree.len())] {
+                let mut reference = tree.clone();
+                let (want_parent, want_cost) = ascending_reference(
+                    &mut reference,
+                    indices.clone(),
+                    nearest,
+                    new_pos,
+                    edge_free,
+                );
+                for neighbors in [&bucket_order, &reversed] {
+                    let mut got = tree.clone();
+                    let (parent, cost) =
+                        choose_parent(&got, neighbors, nearest, new_pos, edge_free);
+                    assert_eq!(
+                        (parent, cost.to_bits()),
+                        (want_parent, want_cost.to_bits()),
+                        "round {round}: choose-parent diverged"
+                    );
+                    let new_index = got.len();
+                    got.push(TreeNode {
+                        position: new_pos,
+                        parent: Some(parent),
+                        cost,
+                    });
+                    rewire(&mut got, neighbors, new_index, edge_free);
+                    for (a, b) in got.iter().zip(&reference) {
+                        assert_eq!(
+                            (a.parent, a.cost.to_bits()),
+                            (b.parent, b.cost.to_bits()),
+                            "round {round}: rewire diverged"
+                        );
+                    }
+                }
+                // Coverage: an edge-free rival with exactly the winning
+                // cost means a tie-break decided the parent.
+                let tied = bucket_order.iter().any(|&(i, d2)| {
+                    i != want_parent
+                        && tree[i].cost + d2.sqrt() == want_cost
+                        && edge_free(i, tree[i].position, new_pos)
+                });
+                if tied && want_parent == nearest {
+                    nearest_kept_tie += 1;
+                } else if tied {
+                    index_broke_tie += 1;
+                }
+                rewired += reference
+                    .iter()
+                    .filter(|n| n.parent == Some(tree.len()))
+                    .count();
+            }
+        }
+        assert!(
+            index_broke_tie > 0,
+            "the clouds must exercise index tie-breaks"
+        );
+        assert!(
+            nearest_kept_tie > 0,
+            "the clouds must exercise ties with nearest"
+        );
+        assert!(rewired > 0, "the clouds must exercise rewiring");
+    }
+
+    /// The dense 5×5-pillar workspace of the falsifier benchmark mission:
+    /// 4 m pillars on a 10 m pitch, every corner-to-corner leg threading
+    /// the grid.
+    fn dense_pillars() -> Workspace {
+        use soter_sim::geometry::Aabb;
+        let mut obstacles = Vec::new();
+        for i in 0..5 {
+            for j in 0..5 {
+                let c = Vec3::new(9.0 + i as f64 * 10.0, 9.0 + j as f64 * 10.0, 5.0);
+                obstacles.push(Aabb::new(
+                    c - Vec3::new(2.0, 2.0, 5.0),
+                    c + Vec3::new(2.0, 2.0, 5.0),
+                ));
+            }
+        }
+        let bounds = Aabb::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(58.0, 58.0, 12.0));
+        Workspace::new(bounds, obstacles, 0.3)
+    }
+
+    /// Every RRT* plan is pinned bit for bit: an FNV-1a hash over the
+    /// exact f64 bit patterns of every plan a fixed query set produces,
+    /// with one planner per workspace and seed so the RNG stream carries
+    /// across queries (a missing plan hashes as a marker byte).  The
+    /// literal was computed on the sorted-scan implementation the
+    /// order-free neighbourhood replaced, so a change to a single waypoint
+    /// coordinate fails here.
+    #[test]
+    fn plans_are_pinned_bit_for_bit() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let corners = |lo: f64, hi: f64, z: f64| {
+            vec![
+                Vec3::new(lo, lo, z),
+                Vec3::new(hi, lo, z),
+                Vec3::new(hi, hi, z),
+                Vec3::new(lo, hi, z),
+            ]
+        };
+        let mut dense_points = corners(3.0, 55.0, 5.0);
+        dense_points.push(Vec3::new(24.0, 34.0, 2.5));
+        let cases = [
+            (
+                Workspace::city_block(),
+                Workspace::city_block().surveillance_points().to_vec(),
+            ),
+            (Workspace::corner_cut_course(), corners(3.0, 17.0, 5.0)),
+            (dense_pillars(), dense_points),
+        ];
+        for (workspace, points) in &cases {
+            for seed in [0u64, 7] {
+                let mut planner = RrtStar::new(RrtStarConfig {
+                    seed,
+                    ..RrtStarConfig::default()
+                });
+                for (i, a) in points.iter().enumerate() {
+                    for b in &points[i + 1..] {
+                        match planner.plan(workspace, *a, *b) {
+                            Some(plan) => {
+                                feed(&(plan.len() as u64).to_le_bytes());
+                                for p in plan {
+                                    for v in [p.x, p.y, p.z] {
+                                        feed(&v.to_bits().to_le_bytes());
+                                    }
+                                }
+                            }
+                            None => feed(&[0xff]),
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 17_646_880_782_261_002_064);
     }
 
     #[test]

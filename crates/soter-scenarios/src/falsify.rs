@@ -752,11 +752,7 @@ impl Falsifier {
                 let found_after = evaluations;
                 let (schedule, record, shrink_steps) =
                     self.shrink(batch[pos].clone(), records[pos].clone(), &mut evaluations);
-                // One sequential replay of the shrunk schedule tallies
-                // *why* the DM switched around the crash (not a search
-                // evaluation — it spends no budget and is deterministic
-                // whatever the worker count).
-                let switch_reasons = crate::runner::mpr_switch_reasons(&self.candidate(&schedule));
+                let switch_reasons = self.switch_reasons(&schedule);
                 return FalsifyReport {
                     evaluations,
                     rounds,
@@ -843,6 +839,17 @@ impl Falsifier {
             best: best_seen.map(|(s, r, _)| (s, r)),
             moves,
         }
+    }
+
+    /// One sequential replay of `schedule` that tallies *why* the DM
+    /// switched around a crash.  It is not a search evaluation: it spends
+    /// no budget and is deterministic whatever the worker count.  It reads
+    /// the search's own plan cache, which holds every planner query the
+    /// evaluation of `schedule` asked, so the replay re-plans none of them
+    /// (only queries past a completion target the evaluation stopped at
+    /// can miss).
+    fn switch_reasons(&self, schedule: &JitterSchedule) -> Vec<(SwitchReason, usize)> {
+        crate::runner::mpr_switch_reasons(&self.candidate(schedule), Some(&self.cache))
     }
 
     /// Greedily shrinks a violating schedule while it keeps violating.
@@ -1325,6 +1332,40 @@ mod tests {
              (got max {:?})",
             widths.iter().max()
         );
+    }
+
+    /// The counterexample replay reads the search's plan cache: once the
+    /// search has evaluated a schedule, replaying it for the switch-reason
+    /// breakdown adds no cache miss (it plans nothing anew) and returns
+    /// exactly the breakdown of an uncached replay.
+    #[test]
+    fn cached_switch_reason_replay_matches_uncached_and_plans_nothing() {
+        let schedule = crate::catalog::sc_starvation_schedule();
+        let falsifier = Falsifier::new(
+            crate::catalog::stress(13, 30.0, false).with_name("stress-sc-starvation"),
+            ScheduleSpace::stress(30.0),
+            FalsifierConfig {
+                workers: 1,
+                ..FalsifierConfig::default()
+            },
+        );
+        let records = falsifier.evaluate(std::slice::from_ref(&schedule));
+        assert!(violates(&records[0]), "the pinned schedule must crash");
+        let (hits, misses) = (falsifier.cache.hits(), falsifier.cache.misses());
+        assert!(misses > 0, "the evaluation must have planned");
+        let cached = falsifier.switch_reasons(&schedule);
+        assert!(
+            falsifier.cache.hits() > hits,
+            "the replay must read the cache"
+        );
+        assert_eq!(
+            falsifier.cache.misses(),
+            misses,
+            "the replay must be answered from the search's plan cache"
+        );
+        let uncached = crate::runner::mpr_switch_reasons(&falsifier.candidate(&schedule), None);
+        assert_eq!(cached, uncached);
+        assert!(!cached.is_empty());
     }
 
     #[test]

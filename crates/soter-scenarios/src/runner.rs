@@ -206,11 +206,16 @@ fn run_stack_with_config(
 /// attaches this breakdown to its counterexamples, so a pinned crash names
 /// the oracle checks that fired around it.  Planner-query and fleet
 /// scenarios have no single motion-primitive module and yield no breakdown.
-pub(crate) fn mpr_switch_reasons(scenario: &Scenario) -> Vec<(SwitchReason, usize)> {
+/// A plan cache that already served the same run replays its planner
+/// queries instead of re-planning; the breakdown is identical either way.
+pub(crate) fn mpr_switch_reasons(
+    scenario: &Scenario,
+    cache: Option<&Arc<PlanCache>>,
+) -> Vec<(SwitchReason, usize)> {
     if scenario.fleet.is_some() || matches!(scenario.mission, MissionSpec::PlannerQueries { .. }) {
         return Vec::new();
     }
-    let exec = fly_to_horizon(scenario);
+    let exec = fly_to_horizon(scenario, cache);
     let mut counts: Vec<(SwitchReason, usize)> = Vec::new();
     if let Some(module) = exec
         .system()
@@ -230,8 +235,8 @@ pub(crate) fn mpr_switch_reasons(scenario: &Scenario) -> Vec<(SwitchReason, usiz
 
 /// Flies a mission scenario to its horizon, ignoring its completion target,
 /// and returns the executor so callers can inspect the decision modules.
-fn fly_to_horizon(scenario: &Scenario) -> Executor {
-    let prepared = prepare_mission(scenario, None);
+fn fly_to_horizon(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> Executor {
+    let prepared = prepare_mission(scenario, cache);
     let mut exec = Executor::with_config(prepared.system, prepared.config);
     while let Some(now) = exec.step_instant() {
         if now.as_secs_f64() > scenario.horizon {
@@ -710,7 +715,7 @@ mod tests {
         ] {
             for filter in FilterKind::ALL {
                 let scenario = base.clone().with_filter(filter);
-                let exec = fly_to_horizon(&scenario);
+                let exec = fly_to_horizon(&scenario, None);
                 for module in exec.system().modules() {
                     let delta = module.dm().delta();
                     let switches = module.dm().switches();
