@@ -22,6 +22,7 @@
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -285,6 +286,40 @@ impl TopicInterner {
     }
 }
 
+/// Whether two topic names are equal: lengths first, then, for names of
+/// 8–24 bytes such as the fleet's `droneN/localPosition`, three
+/// overlapping `u64` words instead of a `memcmp` call; other lengths use
+/// slice equality.
+#[inline]
+fn same_topic(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let n = a.len();
+    if n != b.len() {
+        return false;
+    }
+    if !(8..=24).contains(&n) {
+        return a == b;
+    }
+    // Words at 0, (n - 8) / 2 and n - 8 cover every byte for 8 <= n <= 24.
+    let word = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().expect("8 bytes"));
+    let mid = (n - 8) / 2;
+    (word(a, 0) ^ word(b, 0)) | (word(a, mid) ^ word(b, mid)) | (word(a, n - 8) ^ word(b, n - 8))
+        == 0
+}
+
+/// The index of `topic` in `names`, scanning from `start` to the end and
+/// then wrapping round to the front.  Nodes read and write in declaration
+/// order, so a cursor one past the previous hit usually hits on the first
+/// compare.  Equals the first-match scan whenever equal names sit at
+/// interchangeable positions (equal names intern to one [`TopicId`]).
+#[inline]
+fn find_from(names: &[TopicName], start: usize, topic: &str) -> Option<usize> {
+    let find = |names: &[TopicName]| names.iter().position(|n| same_topic(n.as_str(), topic));
+    find(&names[start..])
+        .map(|i| start + i)
+        .or_else(|| find(&names[..start]))
+}
+
 /// A borrowed, allocation-free view of the executor's slot store,
 /// restricted to one node's subscriptions — the `Topics[I(n)]` of the
 /// AC-OR-SC-STEP rule as a view instead of a rebuilt map.
@@ -293,11 +328,14 @@ impl TopicInterner {
 /// order, parallel slices); a topic outside the list is invisible, exactly
 /// like the former `TopicMap::restrict` projection.  Subscribed topics that
 /// were never published read as [`Value::Unit`], again matching `restrict`.
-#[derive(Debug, Clone, Copy)]
+/// Names that compare equal must carry equal ids, as interned lists do.
+#[derive(Debug, Clone)]
 pub struct SlotView<'a> {
     names: &'a [TopicName],
     ids: &'a [TopicId],
     slots: &'a [Value],
+    /// Where the next lookup starts: one past the previous hit.
+    cursor: Cell<usize>,
 }
 
 impl<'a> SlotView<'a> {
@@ -309,18 +347,22 @@ impl<'a> SlotView<'a> {
     /// Panics if `names` and `ids` have different lengths.
     pub fn new(names: &'a [TopicName], ids: &'a [TopicId], slots: &'a [Value]) -> Self {
         assert_eq!(names.len(), ids.len(), "subscription lists out of sync");
-        SlotView { names, ids, slots }
+        SlotView {
+            names,
+            ids,
+            slots,
+            cursor: Cell::new(0),
+        }
     }
 }
 
 impl TopicRead for SlotView<'_> {
     fn get(&self, topic: &str) -> Option<&Value> {
-        // Subscription lists are short (1-10 entries): a linear scan with
-        // early first-byte mismatch beats hashing and needs no sort order.
-        self.names
-            .iter()
-            .position(|n| n.as_str() == topic)
-            .map(|i| &self.slots[self.ids[i].index()])
+        // Subscription lists are short (1-10 entries): a cursor scan beats
+        // hashing and needs no sort order.
+        let i = find_from(self.names, self.cursor.get(), topic)?;
+        self.cursor.set(i + 1);
+        Some(&self.slots[self.ids[i].index()])
     }
 }
 
@@ -343,7 +385,10 @@ impl<'a> RenamedView<'a> {
 
 impl TopicRead for RenamedView<'_> {
     fn get(&self, topic: &str) -> Option<&Value> {
-        let (_, canonical) = self.renames.iter().find(|(alias, _)| alias == topic)?;
+        let (_, canonical) = self
+            .renames
+            .iter()
+            .find(|(alias, _)| same_topic(alias.as_str(), topic))?;
         self.inner.get(canonical.as_str())
     }
 }
@@ -380,11 +425,16 @@ impl TopicRead for SingleTopic<'_> {
 ///
 /// Publishing on a topic outside the declared output list panics — the
 /// undeclared-publish check of `apply_outputs`, moved to the write site.
+/// Like [`SlotView`], the writer resolves names with a cursor scan, so a
+/// name declared twice may resolve to either index; the executor maps both
+/// to the same interned slot.
 pub struct TopicWriter<'a> {
     node: &'a str,
     now: Time,
     names: &'a [TopicName],
     entries: &'a mut Vec<(u32, Value)>,
+    /// Where the next lookup starts: one past the previous hit.
+    cursor: usize,
 }
 
 impl<'a> TopicWriter<'a> {
@@ -402,6 +452,7 @@ impl<'a> TopicWriter<'a> {
             now,
             names,
             entries,
+            cursor: 0,
         }
     }
 
@@ -415,8 +466,11 @@ impl<'a> TopicWriter<'a> {
     /// can be located in a trace.
     pub fn insert(&mut self, topic: impl AsRef<str>, value: Value) {
         let topic = topic.as_ref();
-        match self.names.iter().position(|n| n.as_str() == topic) {
-            Some(i) => self.entries.push((i as u32, value)),
+        match find_from(self.names, self.cursor, topic) {
+            Some(i) => {
+                self.cursor = i + 1;
+                self.entries.push((i as u32, value));
+            }
             None => panic!(
                 "node `{}` published on undeclared topic `{topic}` at {} \
                  (declared outputs: {:?})",
@@ -440,6 +494,7 @@ impl<'a> TopicWriter<'a> {
             now: self.now,
             names,
             entries: self.entries,
+            cursor: 0,
         }
     }
 
@@ -768,6 +823,176 @@ mod tests {
         let mut entries = Vec::new();
         let mut w = TopicWriter::new("rogue", Time::ZERO, &names, &mut entries);
         w.insert("other", Value::Bool(true));
+    }
+
+    #[test]
+    fn undeclared_publish_panics_with_the_same_message() {
+        let names = [
+            TopicName::new("drone0/command"),
+            TopicName::new("drone0/status"),
+        ];
+        let mut entries = Vec::new();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut w =
+                TopicWriter::new("drone0/rogue", Time::from_millis(30), &names, &mut entries);
+            // Leave the cursor at the end, so the miss wraps round.
+            w.insert("drone0/status", Value::Bool(true));
+            w.insert("drone0/other", Value::Bool(true));
+        }))
+        .expect_err("an undeclared publish must panic");
+        assert_eq!(
+            panic.downcast_ref::<String>().map(String::as_str),
+            Some(
+                "node `drone0/rogue` published on undeclared topic `drone0/other` at \
+                 0.030000s (declared outputs: [TopicName(\"drone0/command\"), \
+                 TopicName(\"drone0/status\")])"
+            )
+        );
+    }
+
+    /// Names on both sides of every length the word compare treats
+    /// specially (0, 1, 7, 8, 9, 16, 23, 24, 25 and 40 bytes), each with
+    /// variants that differ only in the first, middle or last byte; fleet
+    /// names sharing a prefix or a suffix; and non-ASCII names.
+    fn name_pool() -> Vec<String> {
+        let mut pool = Vec::new();
+        for len in [0usize, 1, 7, 8, 9, 16, 23, 24, 25, 40] {
+            let base: Vec<u8> = (0..len).map(|i| b'a' + (i % 26) as u8).collect();
+            for at in [0, len / 2, len.saturating_sub(1)] {
+                let mut variant = base.clone();
+                if let Some(b) = variant.get_mut(at) {
+                    *b = b'Z';
+                }
+                pool.push(String::from_utf8(variant).unwrap());
+            }
+            pool.push(String::from_utf8(base).unwrap());
+        }
+        for d in 0..4 {
+            for topic in [
+                "localPosition",
+                "localPositionX",
+                "controlAction",
+                "targetWaypoint",
+            ] {
+                pool.push(format!("drone{d}/{topic}"));
+            }
+        }
+        pool.extend(
+            [
+                "localPosition",
+                "δρόνος/θέση",
+                "δρόνος/θέσι",
+                "drone0/位置",
+                "drone0/位罝",
+            ]
+            .map(String::from),
+        );
+        pool.sort();
+        pool.dedup();
+        pool
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A declared list drawn from the pool (duplicates allowed), and a
+    /// query sequence over one view: declaration order, reverse order,
+    /// declaration order twice (wrap-around), then random names from the
+    /// whole pool (repeats and undeclared names).
+    fn declared_and_queries(seed: u64) -> (Vec<TopicName>, Vec<String>) {
+        let pool = name_pool();
+        let mut rng = seed;
+        let len = (splitmix(&mut rng) % 13) as usize;
+        let declared: Vec<TopicName> = (0..len)
+            .map(|_| TopicName::new(&pool[splitmix(&mut rng) as usize % pool.len()]))
+            .collect();
+        let in_order = declared.iter().map(|n| n.as_str().to_string());
+        let mut queries: Vec<String> = in_order.clone().collect();
+        queries.extend(in_order.clone().rev());
+        queries.extend(in_order.clone().chain(in_order));
+        queries.extend((0..24).map(|_| pool[splitmix(&mut rng) as usize % pool.len()].clone()));
+        (declared, queries)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn views_and_writer_match_first_match_scans(seed in 0u64..u64::MAX) {
+            let (declared, queries) = declared_and_queries(seed);
+            let interner = TopicInterner::new(declared.iter().cloned());
+            let ids: Vec<TopicId> = declared.iter().map(|n| interner.id(n.as_str()).unwrap()).collect();
+            let slots: Vec<Value> = (0..interner.len()).map(|i| Value::Int(i as i64)).collect();
+            let first_match = |topic: &str| declared.iter().position(|n| n.as_str() == topic);
+
+            let view = SlotView::new(&declared, &ids, &slots);
+            for q in &queries {
+                let expected = first_match(q).map(|i| &slots[ids[i].index()]);
+                let got = view.get(q);
+                proptest::prop_assert!(
+                    got.map(|v| v as *const Value) == expected.map(|v| v as *const Value),
+                    "SlotView::get({q:?}) over {declared:?}: {got:?} vs {expected:?}"
+                );
+            }
+
+            let renames: Vec<(TopicName, TopicName)> = declared
+                .iter()
+                .enumerate()
+                .map(|(i, alias)| (alias.clone(), TopicName::new(format!("scope{i}/{alias}"))))
+                .collect();
+            // Every other canonical topic is published, so misses occur on
+            // both sides of the renaming.
+            let inner: TopicMap = renames
+                .iter()
+                .step_by(2)
+                .enumerate()
+                .map(|(i, (_, canonical))| (canonical.clone(), Value::Int(i as i64)))
+                .collect();
+            let renamed = RenamedView::new(&renames, &inner);
+            for q in &queries {
+                let expected = renames
+                    .iter()
+                    .find(|(alias, _)| alias.as_str() == q)
+                    .and_then(|(_, canonical)| inner.get(canonical.as_str()));
+                proptest::prop_assert_eq!(renamed.get(q), expected, "RenamedView::get({:?})", q);
+            }
+
+            let mut entries = Vec::new();
+            let mut writer = TopicWriter::new("node", Time::ZERO, &declared, &mut entries);
+            let mut expected = Vec::new();
+            for (k, q) in queries.iter().enumerate() {
+                if let Some(i) = first_match(q) {
+                    writer.insert(q.as_str(), Value::Int(k as i64));
+                    expected.push((i, k));
+                }
+            }
+            proptest::prop_assert_eq!(entries.len(), expected.len());
+            for (&(got, ref value), &(want, k)) in entries.iter().zip(&expected) {
+                let got = got as usize;
+                proptest::prop_assert_eq!(value, &Value::Int(k as i64));
+                // A name declared twice may resolve to either index; both
+                // intern to the same slot.
+                proptest::prop_assert_eq!(ids[got], ids[want]);
+                if declared.iter().filter(|n| *n == &declared[want]).count() == 1 {
+                    proptest::prop_assert_eq!(got, want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_topic_matches_string_equality_on_the_pool() {
+        let pool = name_pool();
+        for a in &pool {
+            for b in &pool {
+                assert_eq!(same_topic(a, b), a == b, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

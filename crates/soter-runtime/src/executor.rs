@@ -42,11 +42,16 @@
 //!   and a single linear minimum scan per instant (node counts are tens,
 //!   not thousands — a flat scan beats a heap and keeps firing order
 //!   trivially canonical),
-//! * the OE map is a `Vec<bool>` indexed by node, and trace events carry
-//!   interned [`TopicName`]s, so recording is a refcount bump.
+//! * views and writers resolve names with a cursor that starts one past the
+//!   previous hit, so a node reading and writing in declaration order hits
+//!   on the first compare,
+//! * the OE map is a `Vec<bool>` indexed by node, and recording a firing
+//!   touches no reference count: the digest absorbs the node name in O(1)
+//!   through a per-node table built on its first firing, and the interned
+//!   [`TopicName`] is cloned only when trace storage is on.
 
 use crate::schedule::{JitterSchedule, NodeId, ScheduleSampler};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{NameDigest, Trace, TraceEvent};
 use soter_core::composition::RtaSystem;
 use soter_core::invariant::InvariantMonitor;
 use soter_core::node::Node;
@@ -55,6 +60,7 @@ use soter_core::time::{Duration, Time};
 use soter_core::topic::{
     SlotView, TopicId, TopicInterner, TopicMap, TopicName, TopicRead, TopicWriter, Value,
 };
+use std::cell::OnceCell;
 
 /// A source of ENVIRONMENT-INPUT transitions: values published onto the
 /// system's environment topics from outside the node system.
@@ -127,6 +133,17 @@ struct CompiledNode {
     /// Declared outputs in declaration order; parallel to `out_ids`.
     out_names: Vec<TopicName>,
     out_ids: Vec<TopicId>,
+    /// The name's digest table, built on the node's first firing rather
+    /// than at construction, so executor set-up does not pay 256 hash
+    /// chains per node.
+    name_digest: OnceCell<NameDigest>,
+}
+
+impl CompiledNode {
+    fn name_digest(&self) -> &NameDigest {
+        self.name_digest
+            .get_or_init(|| NameDigest::new(self.name.as_str()))
+    }
 }
 
 /// The construction-time compilation of an [`RtaSystem`]'s static shape:
@@ -172,6 +189,7 @@ impl CompiledSystem {
                 sub_names: info.subscriptions.clone(),
                 out_ids: resolve(&info.outputs),
                 out_names: info.outputs.clone(),
+                name_digest: OnceCell::new(),
             }
         };
         let mut nodes = Vec::new();
@@ -226,7 +244,8 @@ impl TopicRead for GlobalView<'_> {
     }
 }
 
-/// A snapshot of one RTA module's mode, passed to observers.
+/// A snapshot of every RTA module's mode, as `(module name, mode)` pairs in
+/// module order, passed to observers.
 pub type ModeSnapshot = Vec<(String, Mode)>;
 
 type Observer = Box<dyn FnMut(Time, &TopicMap, &ModeSnapshot) + Send>;
@@ -620,11 +639,9 @@ impl Executor {
             entries.clear();
         }
         self.out_scratch = entries;
-        self.trace.record(TraceEvent::NodeFired {
-            time: now,
-            node: self.compiled.nodes[idx].name.clone(),
-            output_enabled: enabled,
-        });
+        let node = &self.compiled.nodes[idx];
+        self.trace
+            .record_fired(now, &node.name, node.name_digest(), enabled);
     }
 
     fn fire_dm(&mut self, idx: usize, i: usize) {
@@ -648,11 +665,9 @@ impl Executor {
         // (AC block starts at `modules`, SC block at `2 * modules`).
         self.oe[modules + i] = after == Mode::Ac;
         self.oe[2 * modules + i] = after == Mode::Sc;
-        self.trace.record(TraceEvent::NodeFired {
-            time: now,
-            node: self.compiled.nodes[idx].name.clone(),
-            output_enabled: true,
-        });
+        let node = &self.compiled.nodes[idx];
+        self.trace
+            .record_fired(now, &node.name, node.name_digest(), true);
         if before != after {
             let reason = self.system.modules()[i]
                 .dm()

@@ -88,6 +88,48 @@ impl TraceHasher {
     }
 }
 
+/// The FNV-1a absorption of one fixed string, as a closed form.
+///
+/// FNV-1a's xor with a byte touches only the low 8 bits of the state, and
+/// the multiply keeps the high bits' contribution a multiple of 256, so
+/// absorbing a fixed `k`-byte string `B` from state `s` is
+/// `s·Pᵏ + T[s & 0xff] (mod 2⁶⁴)` with `T[l] = fnv(l, B) − l·Pᵏ`.  Here `B`
+/// is what [`TraceHasher::write_str`] absorbs: the length prefix plus the
+/// bytes.  Building the table costs `256·k` steps, so the executor builds
+/// one per node on its first firing and then digests the node's name in
+/// O(1) on every firing, bit for bit as `write_str` would.
+#[derive(Debug)]
+pub(crate) struct NameDigest {
+    /// `Pᵏ`.
+    pk: u64,
+    /// `T[l]` for every low byte `l`.
+    table: Box<[u64; 256]>,
+}
+
+impl NameDigest {
+    /// Tabulates the absorption of `write_str(name)`.
+    pub(crate) fn new(name: &str) -> Self {
+        let k = 8 + name.len() as u32;
+        let pk = TraceHasher::PRIME.wrapping_pow(k);
+        let mut table = Box::new([0u64; 256]);
+        for (l, t) in table.iter_mut().enumerate() {
+            let mut h = TraceHasher { state: l as u64 };
+            h.write_str(name);
+            *t = h.state.wrapping_sub((l as u64).wrapping_mul(pk));
+        }
+        NameDigest { pk, table }
+    }
+
+    /// Absorbs the name into `h`, exactly like `h.write_str(name)`.
+    #[inline]
+    fn absorb(&self, h: &mut TraceHasher) {
+        h.state = h
+            .state
+            .wrapping_mul(self.pk)
+            .wrapping_add(self.table[(h.state & 0xff) as usize]);
+    }
+}
+
 /// One event of an execution trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
@@ -95,7 +137,7 @@ pub enum TraceEvent {
     NodeFired {
         /// Firing time.
         time: Time,
-        /// Node name (interned — cloning is a reference-count bump).
+        /// Node name (interned; cloned only when the trace stores events).
         node: TopicName,
         /// Whether the node's outputs were applied to the global topics
         /// (`false` for a controller whose output is disabled by the OE
@@ -196,6 +238,33 @@ impl Trace {
         }
     }
 
+    /// Records a [`TraceEvent::NodeFired`] of `node`, whose name `digest`
+    /// tabulates: the same digest, count and stored event as `record`, but
+    /// the name is digested in O(1) and cloned only when storage is on.
+    pub(crate) fn record_fired(
+        &mut self,
+        time: Time,
+        node: &TopicName,
+        digest: &NameDigest,
+        output_enabled: bool,
+    ) {
+        let h = &mut self.hasher;
+        h.write_u8(0);
+        h.write_u64(time.as_micros());
+        digest.absorb(h);
+        h.write_u8(output_enabled as u8);
+        self.recorded += 1;
+        if self.enabled {
+            self.events.push(TraceEvent::NodeFired {
+                time,
+                node: node.clone(),
+                output_enabled,
+            });
+        }
+    }
+
+    /// The reference digest of one event; [`Trace::record_fired`] must
+    /// match its `NodeFired` arm bit for bit.
     fn digest_event(&mut self, event: &TraceEvent) {
         let h = &mut self.hasher;
         match event {
@@ -523,6 +592,79 @@ mod tests {
             )]
         );
         assert!(t.switch_reasons("other").is_empty());
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Names of 0, 1, 7, 8, 9, 24, 25 and 40 bytes, a fleet node name and
+    /// a non-ASCII one.
+    fn edge_names() -> Vec<String> {
+        let mut names: Vec<String> = [0usize, 1, 7, 8, 9, 24, 25, 40]
+            .iter()
+            .map(|&len| (0..len).map(|i| (b'a' + (i % 26) as u8) as char).collect())
+            .collect();
+        names.extend(["drone7/mpr_sc", "δρόνος/θέση"].map(String::from));
+        names
+    }
+
+    #[test]
+    fn name_digest_absorption_equals_the_write_str_loop() {
+        let mut rng = 0x5eed;
+        for name in edge_names() {
+            let table = NameDigest::new(&name);
+            for low in 0..256u64 {
+                for _ in 0..16 {
+                    let state = (splitmix(&mut rng) & !0xff) | low;
+                    let mut looped = TraceHasher { state };
+                    looped.write_str(&name);
+                    let mut tabled = TraceHasher { state };
+                    table.absorb(&mut tabled);
+                    assert_eq!(tabled, looped, "{name:?} from state {state:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn record_fired_equals_recording_a_node_fired_event() {
+        for enabled in [true, false] {
+            let (mut via_record, mut via_fired) = if enabled {
+                (Trace::new(), Trace::new())
+            } else {
+                (Trace::disabled(), Trace::disabled())
+            };
+            let mut rng = 7;
+            for (i, name) in edge_names().iter().cycle().take(60).enumerate() {
+                let node = TopicName::new(name);
+                let time = Time::from_micros(splitmix(&mut rng) % 1_000_000_000);
+                let output_enabled = i % 3 != 0;
+                via_record.record(TraceEvent::NodeFired {
+                    time,
+                    node: node.clone(),
+                    output_enabled,
+                });
+                via_fired.record_fired(time, &node, &NameDigest::new(name), output_enabled);
+                // Interleave the other events, which both traces record
+                // through `record`.
+                if i % 7 == 0 {
+                    for e in sample_events().into_iter().skip(1) {
+                        via_record.record(e.clone());
+                        via_fired.record(e);
+                    }
+                }
+            }
+            assert_eq!(via_fired.digest(), via_record.digest());
+            assert_eq!(via_fired.recorded_events(), via_record.recorded_events());
+            assert_eq!(via_fired.events(), via_record.events());
+            // 60 firings plus 9 rounds of 3 interleaved events.
+            assert_eq!(via_fired.len(), if enabled { 60 + 9 * 3 } else { 0 });
+        }
     }
 
     #[test]
