@@ -10,16 +10,18 @@
 //!   peer-separation oracles), the fleet-scale stress case.
 //!
 //! Each workload runs with trace recording off (the campaign/falsifier
-//! configuration) and on.  Results are written as JSON (see
+//! configuration) and on.  The `surveillance-per-dm/<filter>` rows divide
+//! whole surveillance-stack wall time by DM evaluations under each safety
+//! filter (see `measure_per_dm_ns`).  Results are written as JSON (see
 //! `soter_bench::write_json`) to `$BENCH_OUT` (default
 //! `target/BENCH_runtime.json`); when `$BENCH_BASELINE` names a committed
 //! report, same-name entries are compared and a >25% throughput regression
 //! fails the run — the CI `bench-smoke` gate.  `$BENCH_QUICK=1` shortens
 //! the simulated horizons for CI.
 //!
-//! Not a Criterion bench: throughput gating needs one deterministic
-//! number per workload, not a sample distribution, so this target drives
-//! the measurement loop directly (`harness = false`).
+//! Throughput gating needs one deterministic number per workload, not a
+//! sample distribution, so this target drives the measurement loop
+//! directly (`harness = false`).
 
 use soter_bench::{gate_against_env_baseline, write_json, BenchEntry};
 use soter_core::composition::RtaSystem;
@@ -168,12 +170,11 @@ fn measure(build: &dyn Fn() -> RtaSystem, record_trace: bool, horizon: f64, reps
     best
 }
 
-/// Wall-clock nanoseconds per decision-module evaluation on the
-/// surveillance stack under `filter`, amortised over a full-stack run so
-/// command-aware filter work outside the DM proper (the implicit filter's
-/// command-reach queries, the ASIF projection gate) is charged to the
-/// decisions that gate on it.  Best (minimum) of `reps` repetitions.
-fn measure_decision_ns(filter: FilterKind, horizon: f64, reps: usize) -> f64 {
+/// Wall-clock nanoseconds of a whole surveillance-stack run under `filter`
+/// divided by its decision-module evaluations.  Every node's work (the
+/// planners above all) is in the numerator, so this measures stack load per
+/// decision, not one DM evaluation.  Best (minimum) of `reps` repetitions.
+fn measure_per_dm_ns(filter: FilterKind, horizon: f64, reps: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let system = surveillance_system_with_filter(filter);
@@ -223,15 +224,19 @@ fn main() {
             ));
         }
     }
-    // Per-filter decision cost on the surveillance stack, so the overhead
-    // of each safety filter is tracked by the same regression gate (lower
+    // Whole surveillance-stack wall time per DM evaluation, one row per
+    // safety filter.  The stack is planner-query-bound, so these rows track
+    // planner load under each filter, not the cost of one decision (lower
     // is better; the gate is direction-aware on the unit).
-    let decision_horizon = if quick { 10.0 } else { 30.0 };
+    let per_dm_horizon = if quick { 10.0 } else { 30.0 };
     for filter in FilterKind::ALL {
-        let ns = measure_decision_ns(filter, decision_horizon, reps);
-        println!("decision/{:<9}: {ns:>12.0} ns/decision", filter.slug());
+        let ns = measure_per_dm_ns(filter, per_dm_horizon, reps);
+        println!(
+            "surveillance-per-dm/{:<9}: {ns:>12.0} ns/decision",
+            filter.slug()
+        );
         entries.push(BenchEntry::new(
-            format!("decision/{}", filter.slug()),
+            format!("surveillance-per-dm/{}", filter.slug()),
             ns,
             "ns/decision",
         ));

@@ -22,8 +22,8 @@
 //! regression fails the run — the CI `falsify-smoke` gate, mirroring
 //! `bench-smoke`.
 //!
-//! Not a Criterion bench: throughput gating needs one deterministic
-//! number per row, not a sample distribution (`harness = false`).
+//! Throughput gating needs one deterministic number per row, not a sample
+//! distribution, so this target drives its own loop (`harness = false`).
 
 use soter_bench::{gate_against_env_baseline, write_json, BenchEntry};
 use soter_core::time::{Duration, Time};

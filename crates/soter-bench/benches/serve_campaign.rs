@@ -18,11 +18,10 @@
 //! baseline in CI.  `$BENCH_QUICK=1` shrinks matrices and sleeps.
 //!
 //! Needs the `soter-worker` binary; on a fresh checkout without it the
-//! rows (and the gate) are skipped gracefully, mirroring the
-//! `shard_campaign` bench.
+//! rows (and the gate) are skipped gracefully.
 //!
-//! Not a Criterion bench: ratio gating needs one deterministic number
-//! per row, not a sample distribution (`harness = false`).
+//! Ratio gating needs one deterministic number per row, not a sample
+//! distribution, so this target drives its own loop (`harness = false`).
 
 use soter_bench::{gate_against_env_baseline, write_json, BenchEntry};
 use soter_serve::daemon::{parse_report_stats, Daemon, ServeConfig};

@@ -1,9 +1,17 @@
 //! Benchmark harness crate for the SOTER reproduction.
 //!
-//! The Criterion benches live under `benches/`; this library additionally
-//! provides the tiny JSON reporter behind the committed `BENCH_runtime.json`
-//! perf trajectory (see the `exec_throughput` bench and the CI `bench-smoke`
-//! step).
+//! Three gated benches live under `benches/`, each compared against a
+//! committed baseline by the CI bench steps:
+//!
+//! * `exec_throughput` — executor firings/s and surveillance-stack time per
+//!   DM evaluation (`BENCH_runtime.json`);
+//! * `falsify` — falsifier schedules/s with and without the plan cache
+//!   (`BENCH_falsify.json`);
+//! * `serve_campaign` — daemon cold/warm and steal-off/steal-on ratios
+//!   (`BENCH_serve.json`).
+//!
+//! This library provides their tiny JSON reporter and the shared
+//! direction-aware regression gate.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -55,8 +63,8 @@ fn json_escape(s: &str) -> String {
 /// free-form string fields (suite name, mode, baseline provenance);
 /// `entries` the measured data points.
 ///
-/// The container has no crates.io access (so no `serde_json`); this format
-/// is deliberately small: one object with string metadata and an `entries`
+/// The workspace carries no JSON dependency, so this format is
+/// deliberately small: one object with string metadata and an `entries`
 /// array of `{name, value, unit}` objects.
 pub fn render_json(meta: &[(&str, String)], entries: &[BenchEntry]) -> String {
     let mut out = String::from("{\n");

@@ -27,7 +27,7 @@ use std::sync::Arc;
 /// [`SwitchEvent`] and surfaced in trace events and falsification reports;
 /// deliberately *not* part of the trace digest, so adding reasons does not
 /// re-key existing goldens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwitchReason {
     /// The worst-case reachable set over the check horizon left `φ_safe`
     /// (`Reach(s, *, 2Δ) ⊄ φ_safe` — the explicit-Simplex disengage check,
@@ -76,7 +76,7 @@ impl fmt::Display for SwitchReason {
 }
 
 /// A record of one mode switch performed by a decision module.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchEvent {
     /// When the switch happened.
     pub time: Time,

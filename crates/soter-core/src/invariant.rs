@@ -17,11 +17,10 @@
 use crate::rta::{FilterKind, Mode, SafetyOracle};
 use crate::time::{Duration, Time};
 use crate::topic::{TopicName, TopicRead};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The result of evaluating `φ_Inv` at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantStatus {
     /// The invariant holds.
     Holds,
@@ -41,7 +40,7 @@ impl InvariantStatus {
 }
 
 /// A recorded invariant violation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Violation {
     /// When the violation was observed.
     pub time: Time,

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Which controller of an RTA module is currently in command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// The advanced (untrusted, high-performance) controller.
     Ac,
@@ -55,9 +55,7 @@ impl fmt::Display for Mode {
 ///   deterministic bisection inside the oracle) to the nearest command whose
 ///   one-step successor stays in `φ_safer`; the decision module only
 ///   disengages as a backstop when the state itself leaves `φ_safe`.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilterKind {
     /// Classic switching Simplex (the SOTER paper's generated DM).
     #[default]
@@ -218,7 +216,7 @@ impl Node for AsifGate {
         let Some((slot, proposed)) = self.scratch.last().cloned() else {
             return;
         };
-        let topic = self.outputs[slot as usize].as_str().to_string();
+        let topic = self.outputs[slot as usize].as_str();
         match self.oracle.project_command(inputs, &proposed, self.horizon) {
             Some(clipped) => {
                 self.clips.fetch_add(1, Ordering::Relaxed);

@@ -20,7 +20,6 @@
 //!   steady-state hot path allocation-free.
 
 use crate::time::Time;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -31,7 +30,7 @@ use std::sync::Arc;
 ///
 /// Topic names are cheap to clone (reference-counted) and ordered, so maps
 /// keyed by them iterate deterministically.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicName(Arc<str>);
 
 impl TopicName {
@@ -94,7 +93,7 @@ impl fmt::Display for TopicName {
 /// stack of the case study (coordinates, kinematic state, waypoint paths,
 /// battery charge, control commands) plus generic scalars for writing other
 /// systems and tests.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub enum Value {
     /// The default value of a freshly initialised topic.
     #[default]
@@ -514,7 +513,7 @@ impl<'a> TopicWriter<'a> {
 /// This is `Vals(X)` in the paper's notation.  Backed by a `BTreeMap` so the
 /// iteration order (and therefore every downstream computation) is
 /// deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopicMap {
     values: BTreeMap<TopicName, Value>,
 }

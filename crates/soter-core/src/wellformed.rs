@@ -22,7 +22,6 @@
 
 use crate::rta::{FilterKind, RtaModule, SafetyOracle};
 use crate::topic::TopicName;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-[`FilterKind`] structural wellformedness, checked at
@@ -74,7 +73,7 @@ pub fn check_filter_structure(
 }
 
 /// The outcome of one well-formedness check.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckOutcome {
     /// The check passed.
     Passed {
@@ -108,7 +107,7 @@ impl fmt::Display for CheckOutcome {
 }
 
 /// The full well-formedness report of an RTA module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WellFormedness {
     /// Name of the module the report refers to.
     pub module: String,
@@ -185,7 +184,7 @@ pub trait PlantAbstraction {
 }
 
 /// Parameters of the sampling-based well-formedness checks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplingConfig {
     /// Number of states sampled per check.
     pub samples: usize,

@@ -13,12 +13,11 @@
 use crate::traits::MotionController;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::{ControlInput, DroneState};
 use soter_sim::vec3::Vec3;
 
 /// The kind of fault to inject into an advanced controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultSpec {
     /// No fault: the wrapper is transparent.
     None,

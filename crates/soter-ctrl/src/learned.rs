@@ -14,12 +14,11 @@
 use crate::traits::MotionController;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::{ControlInput, DroneState};
 use soter_sim::vec3::Vec3;
 
 /// Tuning of the learned controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearnedConfig {
     /// Nominal proportional gain (the "learned" policy's average behaviour).
     pub kp: f64,

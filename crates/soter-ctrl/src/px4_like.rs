@@ -10,12 +10,11 @@
 //! overshoots at speed and knows nothing about obstacles.
 
 use crate::traits::MotionController;
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::{ControlInput, DroneState};
 use soter_sim::vec3::Vec3;
 
 /// Tuning of the aggressive controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Px4LikeConfig {
     /// Cruise speed it tries to reach between waypoints (m/s).
     pub cruise_speed: f64,

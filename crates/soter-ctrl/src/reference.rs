@@ -8,7 +8,6 @@
 //!   primitive one at a time and tracks progress, the way the application
 //!   layer of the paper's stack does.
 
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::DroneState;
 use soter_sim::vec3::Vec3;
 
@@ -43,7 +42,7 @@ pub fn figure_eight(center: Vec3, a: f64, b: f64, n: usize) -> Vec<Vec3> {
 /// next waypoint when the vehicle is within `arrival_tolerance` of the
 /// current one, optionally looping forever (the surveillance protocol's
 /// "visit all points infinitely often").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WaypointMission {
     waypoints: Vec<Vec3>,
     arrival_tolerance: f64,

@@ -12,13 +12,12 @@
 //! it holds the current horizontal position and descends to the ground.
 
 use crate::traits::MotionController;
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::{ControlInput, DroneState};
 use soter_sim::vec3::Vec3;
 
 /// The certified envelope of the safe tracking controller — the quantities
 /// a FaSTrack-style synthesis would provide as its guarantee.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CertifiedEnvelope {
     /// Maximum speed the closed loop will reach (m/s).
     pub max_speed: f64,
@@ -32,7 +31,7 @@ pub struct CertifiedEnvelope {
 }
 
 /// Tuning of the safe tracking controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafeTrackingConfig {
     /// Hard cap on the commanded speed (m/s).  Low by design.
     pub speed_cap: f64,
@@ -110,7 +109,7 @@ impl MotionController for SafeTrackingController {
 }
 
 /// Tuning of the safe landing controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafeLandingConfig {
     /// Descent rate (m/s).
     pub descent_rate: f64,

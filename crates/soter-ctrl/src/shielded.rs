@@ -13,13 +13,12 @@
 //! sampling.
 
 use crate::traits::MotionController;
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::{ControlInput, DroneState};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 
 /// Tuning of the shielded safe controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShieldedSafeConfig {
     /// Hard cap on the commanded speed (m/s).
     pub speed_cap: f64,

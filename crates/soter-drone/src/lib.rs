@@ -1,8 +1,7 @@
 //! # soter-drone — the SOTER drone surveillance case study
 //!
 //! This crate assembles the RTA-protected software stack of Fig. 8 of the
-//! paper from the substrate crates, and packages the paper's experiments so
-//! the benches, examples and integration tests all run the same code:
+//! paper from the substrate crates:
 //!
 //! * [`topics`] — the topic names of the stack (`localPosition`,
 //!   `targetWaypoint`, `controlAction`, `motionPlan`, …) and conversion
@@ -22,12 +21,12 @@
 //!   enforcing the separation invariant φ_sep against peer reach-sets,
 //! * [`evidence`] — the `PlantAbstraction` used to discharge the
 //!   well-formedness conditions P2a/P2b/P3 for the motion-primitive module,
-//! * [`report`] — the result records the experiment drivers produce.
+//! * [`report`] — the planner fault-injection result record (Sec. V-C).
 //!
-//! The experiment drivers themselves (one per table/figure of the
-//! evaluation section) live in the `soter-scenarios` crate as named
-//! declarative scenarios; see `soter_scenarios::experiments` for the
-//! original entry points.
+//! The paper's experiments (one per table/figure of the evaluation
+//! section) live in the `soter-scenarios` crate as named declarative
+//! scenarios (`soter_scenarios::catalog`), run by
+//! `soter_scenarios::runner::run_scenario`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

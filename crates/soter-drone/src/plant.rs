@@ -10,13 +10,12 @@
 //! underlying [`Drone`] for ground-truth metrics after the run.
 
 use crate::topics;
-use parking_lot::Mutex;
 use soter_core::node::Node;
 use soter_core::time::{Duration, Time};
 use soter_core::topic::{TopicName, TopicRead, TopicWriter, Value};
 use soter_sim::drone::Drone;
 use soter_sim::dynamics::ControlInput;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Shared handle to the simulated vehicle, for ground-truth inspection by
 /// the experiment harness.
@@ -79,7 +78,7 @@ impl Node for PlantNode {
         }
         .max(1e-4);
         self.last_time = Some(now);
-        let mut drone = self.drone.lock();
+        let mut drone = self.drone.lock().unwrap_or_else(PoisonError::into_inner);
         drone.step(control, dt);
         let truth = *drone.state();
         let estimate = drone.estimated_state();
@@ -100,6 +99,11 @@ mod tests {
     use super::*;
     use soter_core::topic::TopicMap;
     use soter_sim::vec3::Vec3;
+    use std::sync::MutexGuard;
+
+    fn drone(handle: &PlantHandle) -> MutexGuard<'_, Drone> {
+        handle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn publishes_state_and_battery() {
@@ -117,7 +121,7 @@ mod tests {
             .and_then(Value::as_float)
             .unwrap();
         assert!(charge > 0.99);
-        assert!(handle.lock().elapsed() > 0.0);
+        assert!(drone(&handle).elapsed() > 0.0);
     }
 
     #[test]
@@ -131,7 +135,7 @@ mod tests {
         for i in 1..=200 {
             node.step_to_map(Time::from_millis(10 * i), &inputs);
         }
-        let drone = handle.lock();
+        let drone = drone(&handle);
         assert!(
             drone.state().position.x > 0.5,
             "control must move the drone"
@@ -160,6 +164,6 @@ mod tests {
             t += 25;
             jittered.step_to_map(Time::from_millis(t), &TopicMap::new());
         }
-        assert!((h1.lock().elapsed() - h2.lock().elapsed()).abs() < 0.05);
+        assert!((drone(&h1).elapsed() - drone(&h2).elapsed()).abs() < 0.05);
     }
 }

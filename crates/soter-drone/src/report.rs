@@ -1,88 +1,11 @@
-//! Result records produced by the experiment drivers.
+//! The result record of the planner fault-injection experiment.
 //!
-//! Every table/figure of the paper's evaluation maps to one of these record
-//! types; the Criterion benches print them, `EXPERIMENTS.md` summarises
-//! them, and the integration tests assert the qualitative claims over them.
-
-use serde::{Deserialize, Serialize};
-use soter_sim::trajectory::MissionMetrics;
-
-/// Result of one unprotected-controller circuit run (Fig. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig5Report {
-    /// Which controller was flown (`px4-like` or `learned`).
-    pub controller: String,
-    /// Mission metrics of the run (collisions > 0 reproduces the paper's
-    /// observation that the unprotected controllers are unsafe).
-    pub metrics: MissionMetrics,
-    /// Maximum deviation from the reference polyline (metres).
-    pub max_deviation: f64,
-    /// Number of circuit laps completed (or waypoints reached).
-    pub waypoints_reached: usize,
-}
-
-/// One row of the Fig. 12a timing comparison (AC-only vs RTA vs SC-only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig12aRow {
-    /// Protection configuration (`"ac-only"`, `"rta"`, `"sc-only"`).
-    pub configuration: String,
-    /// Time to complete the circuit (seconds); `None` if the mission did not
-    /// complete within the timeout.
-    pub completion_time: Option<f64>,
-    /// Mission metrics of the run.
-    pub metrics: MissionMetrics,
-    /// Theorem 3.1 invariant violations observed by the runtime monitors.
-    pub invariant_violations: usize,
-}
-
-/// The full Fig. 12a comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig12aReport {
-    /// One row per protection configuration.
-    pub rows: Vec<Fig12aRow>,
-}
-
-impl Fig12aReport {
-    /// Looks up a row by configuration name.
-    pub fn row(&self, configuration: &str) -> Option<&Fig12aRow> {
-        self.rows.iter().find(|r| r.configuration == configuration)
-    }
-}
-
-/// Result of the RTA-protected surveillance mission (Fig. 12b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig12bReport {
-    /// Mission metrics.
-    pub metrics: MissionMetrics,
-    /// Surveillance targets reached.
-    pub targets_reached: usize,
-    /// Mode switches of the motion-primitive module (AC→SC).
-    pub mpr_disengagements: usize,
-    /// Mode switches of the motion-primitive module (SC→AC).
-    pub mpr_reengagements: usize,
-    /// Theorem 3.1 invariant violations observed.
-    pub invariant_violations: usize,
-}
-
-/// Result of the battery-safety mission (Fig. 12c).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Fig12cReport {
-    /// Battery charge when the battery DM first switched to the landing SC
-    /// (`None` if it never switched).
-    pub charge_at_switch: Option<f64>,
-    /// Battery charge at the end of the run.
-    pub final_charge: f64,
-    /// Whether the drone ended the run landed (on the ground, at rest).
-    pub landed: bool,
-    /// Whether the battery ever reached zero while airborne (a φ_bat
-    /// violation).
-    pub battery_violation: bool,
-    /// Altitude history samples `(time, altitude, charge)` for plotting.
-    pub profile: Vec<(f64, f64, f64)>,
-}
+//! Mission scenarios report through `soter_scenarios::runner::RunOutcome`
+//! and `MissionMetrics`; only the Sec. V-C planner queries need a record of
+//! their own.
 
 /// Result of the planner fault-injection experiment (Sec. V-C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerRtaReport {
     /// Queries issued to the planner module.
     pub queries: usize,
@@ -94,81 +17,4 @@ pub struct PlannerRtaReport {
     pub protected_colliding_plans: usize,
     /// How many times the planner module's DM fell back to the safe planner.
     pub dm_switches_to_safe: usize,
-}
-
-/// Result of the scaled Sec. V-D stress campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StressReport {
-    /// Simulated hours flown.
-    pub simulated_hours: f64,
-    /// Distance flown (kilometres).
-    pub distance_km: f64,
-    /// AC→SC disengagements across all modules.
-    pub disengagements: usize,
-    /// Ground-truth collisions (the paper's "crashes").
-    pub crashes: usize,
-    /// Fraction of time the advanced motion primitive was in control.
-    pub ac_fraction: f64,
-    /// Whether scheduling jitter was enabled for this campaign.
-    pub jitter_enabled: bool,
-    /// Surveillance targets reached.
-    pub targets_reached: usize,
-}
-
-/// One row of the Remark 3.3 Δ/φ_safer ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AblationRow {
-    /// Decision period Δ (seconds).
-    pub delta: f64,
-    /// φ_safer hysteresis factor.
-    pub safer_factor: f64,
-    /// Circuit completion time (seconds), if completed.
-    pub completion_time: Option<f64>,
-    /// Number of AC→SC switches.
-    pub disengagements: usize,
-    /// Fraction of time in AC mode.
-    pub ac_fraction: f64,
-    /// Ground-truth collisions (expected 0 for every well-formed setting).
-    pub collisions: usize,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig12a_row_lookup() {
-        let metrics = MissionMetrics {
-            duration: 10.0,
-            distance: 50.0,
-            collisions: 0,
-            disengagements: 1,
-            reengagements: 1,
-            ac_fraction: 0.9,
-            min_clearance: 1.0,
-            completed: true,
-        };
-        let report = Fig12aReport {
-            rows: vec![Fig12aRow {
-                configuration: "rta".into(),
-                completion_time: Some(14.0),
-                metrics,
-                invariant_violations: 0,
-            }],
-        };
-        assert!(report.row("rta").is_some());
-        assert!(report.row("sc-only").is_none());
-    }
-
-    #[test]
-    fn reports_are_serializable_data_structures() {
-        fn assert_serializable<T: Serialize + for<'de> Deserialize<'de>>() {}
-        assert_serializable::<StressReport>();
-        assert_serializable::<Fig5Report>();
-        assert_serializable::<Fig12aReport>();
-        assert_serializable::<Fig12bReport>();
-        assert_serializable::<Fig12cReport>();
-        assert_serializable::<PlannerRtaReport>();
-        assert_serializable::<AblationRow>();
-    }
 }

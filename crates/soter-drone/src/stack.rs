@@ -445,7 +445,9 @@ pub fn build_full_stack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soter_core::rta::Mode;
+    use soter_core::rta::{Mode, SafetyOracle};
+    use soter_core::topic::TopicMap;
+    use std::sync::PoisonError;
 
     #[test]
     fn default_config_builds_well_formed_modules() {
@@ -489,7 +491,8 @@ mod tests {
                 _ => 2 + 1,
             };
             assert_eq!(system.node_count(), expected_nodes, "{protection:?}");
-            assert_eq!(handle.lock().battery_charge(), 1.0);
+            let drone = handle.lock().unwrap_or_else(PoisonError::into_inner);
+            assert_eq!(drone.battery_charge(), 1.0);
         }
     }
 
@@ -535,5 +538,27 @@ mod tests {
             ..DroneStackConfig::default()
         };
         assert_eq!(cfg.advanced_controller().name(), "fault-injected");
+    }
+
+    #[test]
+    fn dm_reachability_query_is_usable() {
+        let config = DroneStackConfig {
+            workspace: Workspace::corner_cut_course(),
+            ..DroneStackConfig::default()
+        };
+        let oracle = config.mpr_oracle();
+        let query = |position: Vec3, speed: f64| {
+            let mut observed = TopicMap::new();
+            observed.insert(
+                topics::LOCAL_POSITION,
+                topics::state_to_value(&DroneState {
+                    position,
+                    velocity: Vec3::new(speed, 0.0, 0.0),
+                }),
+            );
+            oracle.may_leave_safe_within(&observed, config.delta_mpr * 2)
+        };
+        assert!(!query(Vec3::new(3.0, 3.0, 5.0), 0.0));
+        assert!(query(Vec3::new(8.0, 10.0, 5.0), 7.0));
     }
 }

@@ -10,14 +10,13 @@
 //! always satisfies `φ_plan`.
 
 use crate::traits::MotionPlanner;
-use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::{ClearanceChecker, Workspace};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Grid A* configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridAstarConfig {
     /// Grid resolution in metres.
     pub resolution: f64,

@@ -12,12 +12,11 @@ use crate::rrt_star::{RrtStar, RrtStarConfig};
 use crate::traits::MotionPlanner;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 
 /// Configuration of the fault-injected planner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BuggyRrtStarConfig {
     /// Configuration of the underlying (correct) RRT*.
     pub inner: RrtStarConfig,

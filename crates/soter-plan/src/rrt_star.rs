@@ -11,12 +11,11 @@
 use crate::traits::MotionPlanner;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 
 /// RRT* configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RrtStarConfig {
     /// Maximum number of sampling iterations per query.
     pub max_iterations: usize,

@@ -11,12 +11,11 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 
 /// How the next surveillance target is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetPolicy {
     /// Visit the workspace's surveillance points in a fixed cyclic order.
     RoundRobin,

@@ -7,13 +7,12 @@
 //! segment must lie in free space (with an optional extra margin to account
 //! for the motion primitive's certified tracking error).
 
-use serde::{Deserialize, Serialize};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 use std::fmt;
 
 /// Why a plan was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlanViolation {
     /// The plan has fewer than two waypoints.
     TooShort,

@@ -10,13 +10,12 @@
 //! that cell can touch an obstacle or the workspace boundary.
 
 use crate::forward::ForwardReach;
-use serde::{Deserialize, Serialize};
 use soter_sim::geometry::Aabb;
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 
 /// Classification of one grid cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellClass {
     /// The cell centre is inside an obstacle or outside the workspace
     /// (`φ_unsafe`).
@@ -38,7 +37,7 @@ pub enum CellClass {
 /// the city workspace; a full 3-D grid is a straightforward extension but a
 /// 2-D slice matches the paper's presentation and keeps the computation
 /// cheap enough to run inside the decision-module ablation benches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReachGrid {
     resolution: f64,
     altitude: f64,

@@ -11,13 +11,12 @@
 //! the obstacle world's box queries) and additionally accounts for the
 //! bounded state-estimation error of the trusted sensors.
 
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::{DroneState, QuadrotorDynamics};
 use soter_sim::geometry::Aabb;
 use soter_sim::vec3::Vec3;
 
 /// Forward reachable-set computation for the quadrotor plant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForwardReach {
     /// Plant dynamics limits.
     pub dynamics: QuadrotorDynamics,

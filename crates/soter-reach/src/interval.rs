@@ -3,13 +3,12 @@
 //! The forward reachable sets of the decision module are box
 //! over-approximations; [`Interval`] is the one-dimensional building block.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A closed interval `[lo, hi]` of reals.
 ///
 /// Invariant: `lo <= hi` (constructors normalise the endpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Lower endpoint.
     pub lo: f64,

@@ -17,13 +17,12 @@
 //! controllers can still stop both vehicles without closing the gap".
 
 use crate::forward::ForwardReach;
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::DroneState;
 use soter_sim::geometry::Aabb;
 use soter_sim::vec3::Vec3;
 
 /// Pairwise separation checking against peer forward-reach sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeerSeparation {
     reach: ForwardReach,
     /// Minimum admissible centre-to-centre distance `r_sep` (metres).

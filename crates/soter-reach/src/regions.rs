@@ -10,11 +10,10 @@
 //! Fig. 12a does (red = SC engaged, green = returned to AC).
 
 use crate::ttf::ObstacleTtf;
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::DroneState;
 
 /// The operating region a state falls into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperatingRegion {
     /// `R1`: the state violates `φ_safe` (collision or out of bounds).
     Unsafe,

@@ -10,13 +10,12 @@
 //! over-approximation computed by [`ForwardReach`].
 
 use crate::forward::ForwardReach;
-use serde::{Deserialize, Serialize};
 use soter_sim::dynamics::DroneState;
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
 
 /// Time-to-failure computation against a static obstacle workspace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObstacleTtf {
     workspace: Workspace,
     reach: ForwardReach,

@@ -22,14 +22,13 @@
 use crate::executor::{Executor, ExecutorConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_core::composition::RtaSystem;
 use soter_core::rta::Mode;
 use soter_core::time::Time;
 use soter_core::topic::TopicRead;
 
 /// The verdict of exploring one schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
     /// The ordering choices that define the schedule (index picked at each
     /// choice point).
@@ -41,7 +40,7 @@ pub struct ScheduleResult {
 }
 
 /// Aggregate report of a systematic-testing run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationReport {
     /// Number of schedules explored.
     pub schedules_explored: usize,

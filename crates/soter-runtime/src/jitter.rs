@@ -11,11 +11,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_core::time::Duration;
 
 /// Configuration of the scheduling-jitter model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterModel {
     /// Probability that a given firing is delayed.
     pub probability: f64,

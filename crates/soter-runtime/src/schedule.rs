@@ -26,7 +26,6 @@
 //! to a minimal counterexample and pin it as a golden trace.
 
 use crate::jitter::{JitterModel, JitterSampler};
-use serde::{Deserialize, Serialize};
 use soter_core::time::{Duration, Time};
 use std::collections::BTreeMap;
 
@@ -62,7 +61,7 @@ pub trait ScheduleSampler: Send {
 
 /// One entry of a [`RecordedSchedule`]: delay the `firing`-th firing
 /// (0-based, counted per node) of `node` by `delay`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedDelay {
     /// Node name the delay applies to.
     pub node: String,
@@ -77,7 +76,7 @@ pub struct RecordedDelay {
 /// delay) triples.  This is the fully shrunk form a falsification
 /// counterexample can be persisted in — no randomness, no windows, just
 /// the delays that matter.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecordedSchedule {
     /// The recorded delays, in any order (lookup is by node + firing).
     pub delays: Vec<RecordedDelay>,
@@ -92,12 +91,12 @@ impl RecordedSchedule {
 
 /// A declarative scheduling-jitter schedule.
 ///
-/// Schedules are plain data (`Clone + PartialEq + Serialize`), so they can
+/// Schedules are plain data (`Clone + PartialEq`), so they can
 /// live inside scenario specifications, be searched over by the
 /// falsification engine, and be printed into golden-trace counterexample
 /// files.  Build the executor-side sampler with
 /// [`JitterSchedule::sampler`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum JitterSchedule {
     /// The ideal calendar: no firing is ever delayed.
     #[default]

@@ -12,7 +12,6 @@
 //! at the same instants with the same mode switches — the property the
 //! golden-trace regression facility of `soter-scenarios` pins down.
 
-use serde::{Deserialize, Serialize};
 use soter_core::dm::SwitchReason;
 use soter_core::rta::Mode;
 use soter_core::time::Time;
@@ -131,7 +130,7 @@ impl NameDigest {
 }
 
 /// One event of an execution trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A node fired (its step function ran).
     NodeFired {
@@ -192,7 +191,7 @@ impl TraceEvent {
 }
 
 /// A recorded execution trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,

@@ -22,7 +22,6 @@
 use crate::cache::{scenario_fingerprint, ResultCache};
 use crate::runner::{run_scenario_cached, ScenarioOutcome};
 use crate::spec::Scenario;
-use serde::{Deserialize, Serialize};
 use soter_plan::cache::PlanCache;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -464,7 +463,7 @@ impl Drop for CampaignStream {
 }
 
 /// The compact, fully deterministic result of one campaign run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunRecord {
     /// Scenario name.
     pub scenario: String,
@@ -516,7 +515,7 @@ impl RunRecord {
 }
 
 /// Per-scenario aggregate statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioStats {
     /// Scenario name.
     pub scenario: String,

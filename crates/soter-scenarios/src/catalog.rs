@@ -3,9 +3,10 @@
 //! Each constructor returns the `Scenario` that, run through
 //! [`crate::runner::run_scenario`], reproduces the corresponding
 //! pre-refactor driver of `soter-drone` exactly (same stack, same seeds,
-//! same numbers).  The thin wrappers in [`crate::experiments`] re-package
-//! the outcomes into the paper's report records; the golden-trace tests pin
-//! the digests of the suite returned by [`golden_suite`].
+//! same numbers).  The examples and integration tests read the paper's
+//! figures straight off the [`crate::runner::ScenarioOutcome`]; the
+//! golden-trace tests pin the digests of the suite returned by
+//! [`golden_suite`].
 
 use crate::spec::{
     FleetLayout, FleetSpec, JitterSpec, MissionSpec, Scenario, TargetPolicySpec, WorkspaceSpec,

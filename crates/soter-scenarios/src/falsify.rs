@@ -41,7 +41,6 @@ use crate::golden::{record_from_text, record_to_text, GoldenError};
 use crate::spec::{JitterSpec, Scenario};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use soter_core::dm::SwitchReason;
 use soter_core::time::{Duration, Time};
 use soter_plan::cache::PlanCache;
@@ -51,7 +50,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// The parameter space candidate schedules are drawn from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleSpace {
     /// Node names eligible for targeted starvation (e.g. `mpr_sc`, the
     /// paper's crash class).
@@ -91,7 +90,7 @@ impl ScheduleSpace {
 }
 
 /// A family of candidate schedules (see [`JitterSchedule`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleFamily {
     /// [`JitterSchedule::TargetedNode`] over the space's node list.
     Targeted,
@@ -102,7 +101,7 @@ pub enum ScheduleFamily {
 }
 
 /// Search-budget configuration of a [`Falsifier`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FalsifierConfig {
     /// Maximum number of schedule evaluations (search + shrinking).
     pub budget: usize,

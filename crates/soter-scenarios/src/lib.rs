@@ -32,9 +32,7 @@
 //!   out through the campaign engine, with violating schedules shrunk to
 //!   minimal [`Counterexample`]s in the golden-trace format,
 //! * [`golden`] — golden-trace regression: snapshot any scenario's digest
-//!   under `tests/golden/` and verify every later run against it,
-//! * [`experiments`] — the pre-refactor driver entry points, kept as thin
-//!   wrappers over the catalog for the benches, examples and tests.
+//!   under `tests/golden/` and verify every later run against it.
 //!
 //! ## Writing a scenario
 //!
@@ -64,7 +62,6 @@ pub mod cache;
 pub mod campaign;
 pub mod catalog;
 pub mod compare;
-pub mod experiments;
 pub mod falsify;
 pub mod fleet;
 pub mod golden;

@@ -25,7 +25,7 @@ use soter_runtime::trace::TraceHasher;
 use soter_sim::trajectory::{MissionMetrics, Trajectory};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 /// The outcome of running one stack to completion (or timeout).
 #[derive(Debug)]
@@ -180,7 +180,7 @@ fn run_stack_with_config(
         .sum();
     let trace_digest = exec.trace().digest();
     let trace_events = exec.trace().recorded_events();
-    let plant = handle.lock();
+    let plant = handle.lock().unwrap_or_else(PoisonError::into_inner);
     RunOutcome {
         trajectory,
         completion_time,

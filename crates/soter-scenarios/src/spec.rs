@@ -13,7 +13,6 @@
 //! runner fans them out across seeds on a thread pool, and the
 //! [`crate::golden`] facility pins their digests as regression tests.
 
-use serde::{Deserialize, Serialize};
 use soter_core::rta::FilterKind;
 use soter_core::time::Duration;
 use soter_drone::stack::{AdvancedKind, DroneStackConfig, Protection};
@@ -27,7 +26,7 @@ use soter_sim::wind::WindModel;
 use soter_sim::world::Workspace;
 
 /// Workspace geometry of a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkspaceSpec {
     /// The `g1..g4` corner-cut course of Fig. 5 / Fig. 12a.
     CornerCutCourse,
@@ -87,7 +86,7 @@ impl WorkspaceSpec {
 
 /// How surveillance targets are chosen (seedless mirror of
 /// [`TargetPolicy`]; the RNG seed comes from the scenario).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetPolicySpec {
     /// Visit the workspace's surveillance points in a fixed cyclic order.
     RoundRobin,
@@ -106,7 +105,7 @@ impl TargetPolicySpec {
 }
 
 /// The mission profile of a scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MissionSpec {
     /// Fly the workspace's waypoint circuit continuously until the horizon
     /// (the Fig. 5 workload — no completion target).
@@ -174,7 +173,7 @@ pub fn derive_stream_seed(scenario_seed: u64, stream: u64) -> u64 {
 /// [`JitterSchedule`] verbatim — the same schedule replays identically
 /// whatever the scenario seed, which is what lets the falsification engine
 /// shrink and pin counterexample schedules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JitterSpec {
     /// No jitter — the ideal calendar.
     None,
@@ -234,7 +233,7 @@ impl JitterSpec {
 }
 
 /// Spawn/route layout of a multi-drone fleet over the scenario workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetLayout {
     /// Drones fly the workspace circuit from staggered corners, alternating
     /// direction of travel, so routes cross and meet head-on.
@@ -250,7 +249,7 @@ pub enum FleetLayout {
 
 /// A per-drone override inside a fleet (the fleet default comes from the
 /// scenario's own `protection`/`advanced` fields).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetOverride {
     /// Index of the drone this override applies to.
     pub drone: usize,
@@ -267,7 +266,7 @@ pub struct FleetOverride {
 /// turns a circuit mission into a multi-drone airspace: every drone runs
 /// its own RTA-protected stack and every decision module enforces φ_sep
 /// against its peers' forward-reach sets (see `soter_drone::airspace`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Number of drones (at least 2).
     pub drones: usize,
@@ -347,7 +346,7 @@ impl FleetSpec {
 /// let outcome = run_scenario(&scenario);
 /// assert_eq!(outcome.invariant_violations, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name; also keys the golden-trace files, so it should be
     /// filesystem-friendly (lowercase, dashes).
@@ -385,7 +384,6 @@ pub struct Scenario {
     /// the AC's proposed command) or ASIF (clip the command to the nearest
     /// admissible one).  Defaults to explicit Simplex, which reproduces the
     /// pre-filter-zoo behaviour byte for byte.
-    #[serde(default)]
     pub filter: FilterKind,
     /// Multi-drone fleet, if this is an airspace scenario (`None` = the
     /// paper's single-drone setting).  Fleet scenarios fly circuit missions

@@ -29,7 +29,7 @@ fn test_config() -> ShardConfig {
 }
 
 /// The concatenated golden-format text of every record, in matrix order —
-/// the byte-level identity the acceptance criterion is stated over.
+/// the bytes this suite compares for identity.
 fn report_bytes(records: &[RunRecord]) -> String {
     records.iter().map(record_to_text).collect()
 }

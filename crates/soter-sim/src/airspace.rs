@@ -21,11 +21,10 @@
 
 use crate::vec3::Vec3;
 use crate::world::Workspace;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A shared workspace plus the fleet's minimum separation radius `r_sep`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Airspace {
     workspace: Workspace,
     separation_radius: f64,

@@ -14,14 +14,13 @@
 //! T_max` exactly as in the paper.
 
 use crate::dynamics::ControlInput;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the discharge model.
 ///
 /// Discharge rate is an affine function of commanded acceleration magnitude:
 /// hovering costs `idle_rate` (fraction of capacity per second) and every
 /// m/s² of commanded acceleration adds `accel_rate`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryModel {
     /// Fraction of capacity consumed per second while hovering.
     pub idle_rate: f64,
@@ -73,7 +72,7 @@ impl BatteryModel {
 }
 
 /// Battery charge state, as a fraction of capacity in `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     charge: f64,
     model: BatteryModel,

@@ -14,10 +14,9 @@ use crate::vec3::Vec3;
 use crate::wind::WindModel;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the plant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DroneConfig {
     /// Translational dynamics limits.
     pub dynamics: QuadrotorDynamics,

@@ -10,10 +10,9 @@
 //! stopping distance, and worst-case excursion over a horizon.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Kinematic state of the drone: position and velocity.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DroneState {
     /// Position in metres, world frame.
     pub position: Vec3,
@@ -38,7 +37,7 @@ impl DroneState {
 
 /// A commanded acceleration.  Controllers produce these; the dynamics clamp
 /// them to the actuation limits before integrating.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlInput {
     /// Commanded acceleration in m/s², world frame.
     pub acceleration: Vec3,
@@ -68,7 +67,7 @@ impl ControlInput {
 ///
 /// Altitude is kept non-negative (the ground is a hard floor; reaching it at
 /// speed is reported by the plant, not by the dynamics).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadrotorDynamics {
     /// Maximum commanded acceleration magnitude (m/s²).
     pub max_acceleration: f64,

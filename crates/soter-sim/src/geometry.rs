@@ -8,7 +8,6 @@
 //! modules.
 
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned bounding box in 3-D space, defined by its minimum and
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert!(b.contains(&Vec3::new(1.0, 1.0, 1.0)));
 /// assert!(!b.contains(&Vec3::new(3.0, 1.0, 1.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,

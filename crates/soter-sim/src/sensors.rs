@@ -11,10 +11,9 @@
 use crate::dynamics::DroneState;
 use crate::vec3::Vec3;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A trusted state estimator with bounded error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateEstimator {
     /// Maximum absolute error per position component (metres).
     pub position_error: f64,

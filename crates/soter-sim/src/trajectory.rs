@@ -12,10 +12,9 @@ use crate::dynamics::DroneState;
 use crate::geometry::point_segment_distance;
 use crate::vec3::Vec3;
 use crate::world::Workspace;
-use serde::{Deserialize, Serialize};
 
 /// A single timestamped trajectory sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectorySample {
     /// Simulation time (seconds).
     pub time: f64,
@@ -27,7 +26,7 @@ pub struct TrajectorySample {
 }
 
 /// A recorded trajectory: a time-ordered sequence of samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trajectory {
     samples: Vec<TrajectorySample>,
 }
@@ -178,7 +177,7 @@ impl Trajectory {
 
 /// Aggregate metrics for one mission, in the vocabulary the paper's
 /// evaluation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissionMetrics {
     /// Wall-clock (simulated) duration of the mission in seconds.
     pub duration: f64,

@@ -5,7 +5,6 @@
 //! clamping helpers, and keeping the type local keeps the public API of the
 //! workspace self-contained.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 
@@ -20,7 +19,7 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(a + b, Vec3::new(1.5, 2.5, 3.5));
 /// assert!((a.norm() - 14f64.sqrt()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
     pub x: f64,

@@ -11,10 +11,9 @@
 
 use crate::vec3::Vec3;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A wind/disturbance model producing a disturbance acceleration each step.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub enum WindModel {
     /// No wind — the nominal setting of the paper's case study.
     #[default]

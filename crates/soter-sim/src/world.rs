@@ -9,7 +9,6 @@
 
 use crate::geometry::Aabb;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A static 3-D workspace with axis-aligned obstacles.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(w.is_free(Vec3::new(1.0, 1.0, 2.0)));
 /// assert!(!w.surveillance_points().is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workspace {
     bounds: Aabb,
     obstacles: Vec<Aabb>,

@@ -3,34 +3,39 @@
 //!
 //! Run with: `cargo run --release --example battery_failsafe`
 
-use soter::scenarios::experiments::fig12c_battery;
+use soter::scenarios::catalog;
+use soter::scenarios::runner::run_scenario;
 
 fn main() {
-    let report = fig12c_battery(11, 300.0);
+    let run = run_scenario(&catalog::fig12c(11, 300.0))
+        .run
+        .expect("mission scenarios produce a run");
+    // φ_bat is violated only if the battery hits zero while still airborne.
+    let battery_violation = run
+        .profile
+        .iter()
+        .any(|(_, altitude, charge)| *charge <= 0.0 && *altitude > 0.2);
     println!("=== Fig. 12c: battery-safety RTA module ===");
-    match report.charge_at_switch {
+    match run.battery_switch_charge {
         Some(c) => println!("DM switched to landing SC at  : {:.1} % charge", 100.0 * c),
         None => println!("DM never had to switch (battery stayed healthy)"),
     }
     println!(
         "final charge                  : {:.1} %",
-        100.0 * report.final_charge
+        100.0 * run.final_charge
     );
-    println!("landed safely                 : {}", report.landed);
-    println!(
-        "φ_bat violated (dead mid-air) : {}",
-        report.battery_violation
-    );
-    println!("profile samples               : {}", report.profile.len());
+    println!("landed safely                 : {}", run.landed);
+    println!("φ_bat violated (dead mid-air) : {battery_violation}");
+    println!("profile samples               : {}", run.profile.len());
     // Print a coarse altitude/charge profile, the data behind Fig. 12c.
-    for (t, alt, charge) in report.profile.iter().step_by(20) {
+    for (t, alt, charge) in run.profile.iter().step_by(20) {
         println!(
             "  t = {t:6.1} s   altitude = {alt:5.2} m   charge = {:5.1} %",
             100.0 * charge
         );
     }
     assert!(
-        !report.battery_violation,
+        !battery_violation,
         "the drone must never run out of charge mid-air"
     );
 }

@@ -5,10 +5,13 @@
 //!
 //! Run with: `cargo run --release --example fault_injection_planner`
 
-use soter::scenarios::experiments::planner_rta;
+use soter::scenarios::catalog;
+use soter::scenarios::runner::run_scenario;
 
 fn main() {
-    let report = planner_rta(23, 60);
+    let report = run_scenario(&catalog::planner_rta(23, 60))
+        .planner
+        .expect("planner scenarios produce a report");
     println!("=== Sec. V-C: RTA-protected motion planner ===");
     println!("planning queries               : {}", report.queries);
     println!(

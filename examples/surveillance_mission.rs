@@ -3,37 +3,31 @@
 //!
 //! Run with: `cargo run --release --example surveillance_mission`
 
-use soter::scenarios::experiments::fig12b_surveillance;
+use soter::scenarios::catalog;
+use soter::scenarios::runner::run_scenario;
 
 fn main() {
-    let report = fig12b_surveillance(7, 6, 400.0);
+    let outcome = run_scenario(&catalog::fig12b(7, 6, 400.0));
+    let run = outcome.run.expect("mission scenarios produce a run");
+    let metrics = outcome.metrics.expect("mission scenarios produce metrics");
     println!("=== Fig. 12b: RTA-protected surveillance mission ===");
-    println!("targets reached            : {}", report.targets_reached);
-    println!(
-        "mission duration           : {:.1} s",
-        report.metrics.duration
-    );
-    println!(
-        "distance flown             : {:.1} m",
-        report.metrics.distance
-    );
-    println!("ground-truth collisions    : {}", report.metrics.collisions);
+    println!("targets reached            : {}", run.targets_reached);
+    println!("mission duration           : {:.1} s", metrics.duration);
+    println!("distance flown             : {:.1} m", metrics.distance);
+    println!("ground-truth collisions    : {}", metrics.collisions);
     println!(
         "min obstacle clearance     : {:.2} m",
-        report.metrics.min_clearance
+        metrics.min_clearance
     );
-    println!("AC→SC disengagements       : {}", report.mpr_disengagements);
-    println!("SC→AC re-engagements       : {}", report.mpr_reengagements);
+    println!("AC→SC disengagements       : {}", run.mpr_disengagements);
+    println!("SC→AC re-engagements       : {}", run.mpr_reengagements);
     println!(
         "time in AC mode            : {:.1} %",
-        100.0 * report.metrics.ac_fraction
+        100.0 * metrics.ac_fraction
     );
-    println!(
-        "invariant violations       : {}",
-        report.invariant_violations
-    );
+    println!("invariant violations       : {}", run.invariant_violations);
     assert_eq!(
-        report.metrics.collisions, 0,
+        metrics.collisions, 0,
         "the protected stack must stay collision-free"
     );
 }

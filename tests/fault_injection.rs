@@ -4,7 +4,8 @@
 use soter::core::prelude::*;
 use soter::drone::stack::{build_circuit_stack, AdvancedKind, DroneStackConfig, Protection};
 use soter::runtime::{JitterModel, JitterSchedule, SystematicTester};
-use soter::scenarios::experiments::{circuit_lap, run_stack};
+use soter::scenarios::catalog;
+use soter::scenarios::runner::{run_scenario, run_stack};
 use soter::sim::trajectory::MissionMetrics;
 use soter::sim::world::Workspace;
 use soter_ctrl::fault::FaultSpec;
@@ -94,11 +95,17 @@ fn moderate_scheduling_jitter_preserves_safety_most_of_the_time() {
 
 #[test]
 fn baseline_comparison_shapes_hold_for_a_second_seed() {
-    let (rta, _) = circuit_lap(Protection::Rta, 11, 300.0);
-    let (sc, _) = circuit_lap(Protection::ScOnly, 11, 300.0);
-    assert_eq!(rta.metrics.collisions, 0);
-    assert_eq!(sc.metrics.collisions, 0);
-    if let (Some(a), Some(b)) = (rta.completion_time, sc.completion_time) {
+    let lap = |protection| {
+        let outcome = run_scenario(&catalog::fig12a(protection, 11, 300.0));
+        let metrics = outcome.metrics.expect("circuit laps produce metrics");
+        let run = outcome.run.expect("circuit laps produce a run");
+        (metrics, run.completion_time)
+    };
+    let (rta, t_rta) = lap(Protection::Rta);
+    let (sc, t_sc) = lap(Protection::ScOnly);
+    assert_eq!(rta.collisions, 0);
+    assert_eq!(sc.collisions, 0);
+    if let (Some(a), Some(b)) = (t_rta, t_sc) {
         assert!(a <= b);
     }
 }

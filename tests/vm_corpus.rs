@@ -59,7 +59,7 @@ fn load_cases(kind: &str) -> Vec<Case> {
 }
 
 /// The rejection rules the corpus must keep covered, one minimal program
-/// each (the acceptance criterion of the sandbox issue).
+/// each.
 const REQUIRED_KINDS: &[&str] = &[
     "unbounded-loop",
     "undeclared-read",
