@@ -202,7 +202,10 @@ impl PlanEntry {
                 let count: usize = count
                     .parse()
                     .map_err(|_| format!("bad waypoint count `{count}`"))?;
-                let mut points = Vec::with_capacity(count);
+                // `count` is untrusted: preallocate no more waypoints
+                // than the rest of the line could hold (three words and
+                // three separators each).
+                let mut points = Vec::with_capacity(count.min(line.len() / 6));
                 for i in 0..count {
                     let mut coord = |axis: &str| -> Result<f64, String> {
                         let w = words
@@ -604,6 +607,16 @@ mod tests {
             "zz 02 03 none",
         ] {
             assert!(PlanEntry::parse(bad).is_err(), "`{bad}` must not parse");
+        }
+    }
+
+    /// The waypoint count comes off the wire: a huge one must be a parse
+    /// error, not a capacity-overflow panic or a terabyte allocation.
+    #[test]
+    fn an_untrusted_waypoint_count_is_an_error_not_an_allocation() {
+        for count in [u64::MAX, 1 << 40] {
+            let line = format!("0 0 0 {count}");
+            assert!(PlanEntry::parse(&line).is_err(), "`{line}` must not parse");
         }
     }
 

@@ -31,17 +31,16 @@
 //! # Storage
 //!
 //! In memory the cache is a bounded LRU.  Optionally it is backed by an
-//! append-only on-disk **segment**: each insert appends one framed entry
-//! (a `CACHE <fingerprint>` header, the record in golden text format, an
-//! `END` terminator) in a single write, and a daemon restart replays the
-//! segment to start warm.  Loading is tolerant exactly where appending
-//! can tear: a torn final entry truncates the tail, and any corrupt entry
-//! in the middle (bit rot, hand edits) is skipped — validated by the same
-//! strict [`record_from_text`] parser the golden suite and the shard wire
-//! protocol use.
+//! append-only on-disk **segment**: each insert appends one record frame
+//! under a `CACHE <fingerprint>` header ([`write_frame`]) in a single
+//! write, and a daemon restart replays the segment through [`read_frame`]
+//! to start warm.  Loading is tolerant exactly where appending can tear: a
+//! torn final entry truncates the tail, and a corrupt entry in the middle
+//! (bit rot, a non-UTF-8 byte, hand edits) costs that entry only — it is
+//! skipped and loading resyncs at the next header.
 
 use crate::campaign::RunRecord;
-use crate::golden::{record_from_text, record_to_text};
+use crate::golden::{read_frame, write_frame, FrameError};
 use crate::spec::Scenario;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -200,19 +199,10 @@ impl ResultCache {
     pub fn with_segment(capacity: usize, path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
         let mut cache = ResultCache::new(capacity);
-        let mut stats = SegmentStats::default();
         if path.exists() {
-            let text = std::fs::read_to_string(&path)?;
-            let load = parse_segment(&text);
-            stats.skipped = load.skipped;
-            if let Some(keep) = load.truncate_at {
+            if let Some(keep) = cache.load_segment(&std::fs::read(&path)?) {
                 let file = OpenOptions::new().write(true).open(&path)?;
                 file.set_len(keep as u64)?;
-                stats.truncated = true;
-            }
-            for (fingerprint, record) in load.entries {
-                cache.insert_in_memory(fingerprint, record);
-                stats.loaded += 1;
             }
         } else if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -222,8 +212,51 @@ impl ResultCache {
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         cache.segment = Mutex::new(Some(file));
         cache.segment_path = Some(path);
-        cache.segment_stats = stats;
         Ok(cache)
+    }
+
+    /// Replays a segment's entries into the LRU and records how that went
+    /// in `segment_stats`; returns the offset to truncate the file to if
+    /// its tail entry is torn.
+    fn load_segment(&mut self, bytes: &[u8]) -> Option<usize> {
+        let mut pos = 0;
+        // Inside a run of lines that are not entry headers (junk, or the
+        // body of an entry whose header was corrupt): one skip per run.
+        let mut resyncing = false;
+        while pos < bytes.len() {
+            let entry_start = pos;
+            // A trailing fragment with no newline is a torn write.
+            let Some(len) = bytes[pos..].iter().position(|&b| b == b'\n') else {
+                self.segment_stats.truncated = true;
+                return Some(entry_start);
+            };
+            let header = &bytes[pos..pos + len];
+            pos += len + 1;
+            let Some(fingerprint) = header
+                .strip_prefix(b"CACHE 0x")
+                .and_then(|hex| std::str::from_utf8(hex).ok())
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            else {
+                self.segment_stats.skipped += usize::from(!resyncing);
+                resyncing = true;
+                continue;
+            };
+            resyncing = false;
+            let (consumed, frame) = read_frame(&mut &bytes[pos..]);
+            pos += consumed;
+            match frame {
+                Ok(record) => {
+                    self.insert_in_memory(fingerprint, record);
+                    self.segment_stats.loaded += 1;
+                }
+                Err(FrameError::Corrupt(_)) => self.segment_stats.skipped += 1,
+                Err(FrameError::Torn) => {
+                    self.segment_stats.truncated = true;
+                    return Some(entry_start);
+                }
+            }
+        }
+        None
     }
 
     /// Records answered from the cache.
@@ -305,7 +338,8 @@ impl ResultCache {
         if let Some(file) = segment.as_mut() {
             // One write per entry: a crash mid-write tears at most the
             // final entry, which the loader truncates away.
-            let framed = format!("CACHE {fingerprint}\n{}END\n", record_to_text(record));
+            let mut framed = String::new();
+            write_frame(&mut framed, format_args!("CACHE {fingerprint}"), record);
             let _ = file.write_all(framed.as_bytes());
             let _ = file.flush();
         }
@@ -338,83 +372,6 @@ impl ResultCache {
         }
         true
     }
-}
-
-struct SegmentLoad {
-    entries: Vec<(u64, RunRecord)>,
-    skipped: usize,
-    /// Byte offset to truncate the file to, if the tail entry is torn.
-    truncate_at: Option<usize>,
-}
-
-/// Splits off the next line (newline excluded); returns `None` for a
-/// trailing fragment with no newline — a torn write, not a line.
-fn next_line<'a>(text: &'a str, pos: &mut usize) -> Option<&'a str> {
-    let rest = &text[*pos..];
-    let end = rest.find('\n')?;
-    *pos += end + 1;
-    Some(&rest[..end])
-}
-
-fn parse_segment(text: &str) -> SegmentLoad {
-    let mut load = SegmentLoad {
-        entries: Vec::new(),
-        skipped: 0,
-        truncate_at: None,
-    };
-    let mut pos = 0usize;
-    while pos < text.len() {
-        let entry_start = pos;
-        let Some(header) = next_line(text, &mut pos) else {
-            // Torn header line at EOF.
-            load.truncate_at = Some(entry_start);
-            break;
-        };
-        let Some(fingerprint) = header
-            .strip_prefix("CACHE 0x")
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        else {
-            // Junk where a header should be: drop it and resync at the
-            // next header line.
-            load.skipped += 1;
-            loop {
-                let probe = pos;
-                match next_line(text, &mut pos) {
-                    Some(line) if line.starts_with("CACHE 0x") => {
-                        pos = probe;
-                        break;
-                    }
-                    Some(_) => continue,
-                    None => {
-                        pos = text.len();
-                        break;
-                    }
-                }
-            }
-            continue;
-        };
-        let mut body = String::new();
-        let terminated = loop {
-            match next_line(text, &mut pos) {
-                Some("END") => break true,
-                Some(line) => {
-                    body.push_str(line);
-                    body.push('\n');
-                }
-                None => break false,
-            }
-        };
-        if !terminated {
-            // The tail entry never reached its END: a torn append.
-            load.truncate_at = Some(entry_start);
-            break;
-        }
-        match record_from_text(&body) {
-            Ok(record) => load.entries.push((fingerprint, record)),
-            Err(_) => load.skipped += 1,
-        }
-    }
-    load
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@
 //! `tests/falsify.rs`).
 
 use crate::campaign::{Campaign, RunRecord};
-use crate::golden::{record_from_text, record_to_text, GoldenError};
+use crate::golden::{
+    read_fields, record_from_fields, record_to_text, Fields, GoldenError, RECORD_KEYS,
+};
 use crate::spec::{JitterSpec, Scenario};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -952,79 +954,105 @@ pub fn schedule_to_text(schedule: &JitterSchedule) -> String {
     out
 }
 
+/// The fixed keys of [`schedule_to_text`]'s lines; a recorded schedule's
+/// `schedule_recorded_<i>` lines come on top.
+const SCHEDULE_KEYS: [&str; 10] = [
+    "schedule",
+    "schedule_probability",
+    "schedule_max_delay_us",
+    "schedule_seed",
+    "schedule_node",
+    "schedule_start_us",
+    "schedule_width_us",
+    "schedule_delay_us",
+    "schedule_period_us",
+    "schedule_offset_us",
+];
+
+/// The search-statistics keys of a counterexample document.
+const SEARCH_KEYS: [&str; 3] = ["evaluations", "shrink_steps", "switch_reasons"];
+
+/// Reads a document over the keys of `sections`, laid end to end in the
+/// returned slots, plus `schedule_recorded_<i>` lines, which fill slot
+/// `i` after them.  As strict as [`read_fields`]; an index must be
+/// written canonically.
+fn read_document<'t>(
+    text: &'t str,
+    sections: &[&[&str]],
+) -> Result<Vec<Option<&'t str>>, GoldenError> {
+    let fixed = sections.iter().map(|keys| keys.len()).sum::<usize>();
+    let mut values = vec![None; fixed + text.lines().count()];
+    read_fields(text, &mut values, |key| {
+        let mut known = sections.iter().flat_map(|keys| keys.iter());
+        known.position(|&k| k == key).or_else(|| {
+            let index = key.strip_prefix("schedule_recorded_")?;
+            let i = index.parse::<usize>().ok()?;
+            (i.to_string() == index).then(|| fixed.checked_add(i))?
+        })
+    })?;
+    Ok(values)
+}
+
+/// Builds the schedule from the values read for [`SCHEDULE_KEYS`]
+/// followed by the recorded-delay slots.
+fn schedule_from_fields(values: &[Option<&str>]) -> Result<JitterSchedule, GoldenError> {
+    let (fixed, recorded) = values.split_at(SCHEDULE_KEYS.len());
+    let f = Fields(&SCHEDULE_KEYS, fixed);
+    let us = |key: &str| f.parse::<u64>(key);
+    Ok(match f.get("schedule")? {
+        "ideal" => JitterSchedule::Ideal,
+        "iid" => JitterSchedule::iid(
+            f.parse("schedule_probability")?,
+            Duration::from_micros(us("schedule_max_delay_us")?),
+            f.parse("schedule_seed")?,
+        ),
+        "burst" => JitterSchedule::Burst {
+            start: Time::from_micros(us("schedule_start_us")?),
+            width: Duration::from_micros(us("schedule_width_us")?),
+            delay: Duration::from_micros(us("schedule_delay_us")?),
+        },
+        "targeted-node" => JitterSchedule::TargetedNode {
+            node: f.get("schedule_node")?.to_string(),
+            start: Time::from_micros(us("schedule_start_us")?),
+            width: Duration::from_micros(us("schedule_width_us")?),
+            delay: Duration::from_micros(us("schedule_delay_us")?),
+        },
+        "phase-locked" => JitterSchedule::PhaseLocked {
+            period: Duration::from_micros(us("schedule_period_us")?),
+            offset: Duration::from_micros(us("schedule_offset_us")?),
+            width: Duration::from_micros(us("schedule_width_us")?),
+            delay: Duration::from_micros(us("schedule_delay_us")?),
+        },
+        "recorded" => {
+            // Every index below the number of recorded lines must be there.
+            let count = recorded.iter().flatten().count();
+            let delays = recorded[..count].iter().enumerate().map(|(i, line)| {
+                let line = line.ok_or_else(|| {
+                    GoldenError::Parse(format!("missing field `schedule_recorded_{i}`"))
+                })?;
+                let bad = || GoldenError::Parse(format!("malformed recorded delay: {line}"));
+                match line.split_whitespace().collect::<Vec<_>>()[..] {
+                    [node, firing, delay] => Ok(RecordedDelay {
+                        node: node.to_string(),
+                        firing: firing.parse().map_err(|_| bad())?,
+                        delay: Duration::from_micros(delay.parse().map_err(|_| bad())?),
+                    }),
+                    _ => Err(bad()),
+                }
+            });
+            JitterSchedule::Recorded(RecordedSchedule::new(delays.collect::<Result<_, _>>()?))
+        }
+        other => {
+            return Err(GoldenError::Parse(format!(
+                "unknown schedule kind: {other}"
+            )))
+        }
+    })
+}
+
 /// Parses the schedule lines produced by [`schedule_to_text`].
 pub fn schedule_from_text(text: &str) -> Result<JitterSchedule, GoldenError> {
-    let field = |key: &str| -> Result<String, GoldenError> {
-        text.lines()
-            .find_map(|line| {
-                let (k, v) = line.split_once('=')?;
-                (k.trim() == key).then(|| v.trim().to_string())
-            })
-            .ok_or_else(|| GoldenError::Parse(format!("missing field `{key}`")))
-    };
-    let micros = |key: &str| -> Result<u64, GoldenError> {
-        field(key)?
-            .parse::<u64>()
-            .map_err(|_| GoldenError::Parse(format!("field `{key}` is not a microsecond count")))
-    };
-    match field("schedule")?.as_str() {
-        "ideal" => Ok(JitterSchedule::Ideal),
-        "iid" => Ok(JitterSchedule::iid(
-            field("schedule_probability")?
-                .parse()
-                .map_err(|_| GoldenError::Parse("bad schedule_probability".into()))?,
-            Duration::from_micros(micros("schedule_max_delay_us")?),
-            field("schedule_seed")?
-                .parse()
-                .map_err(|_| GoldenError::Parse("bad schedule_seed".into()))?,
-        )),
-        "burst" => Ok(JitterSchedule::Burst {
-            start: Time::from_micros(micros("schedule_start_us")?),
-            width: Duration::from_micros(micros("schedule_width_us")?),
-            delay: Duration::from_micros(micros("schedule_delay_us")?),
-        }),
-        "targeted-node" => Ok(JitterSchedule::TargetedNode {
-            node: field("schedule_node")?,
-            start: Time::from_micros(micros("schedule_start_us")?),
-            width: Duration::from_micros(micros("schedule_width_us")?),
-            delay: Duration::from_micros(micros("schedule_delay_us")?),
-        }),
-        "phase-locked" => Ok(JitterSchedule::PhaseLocked {
-            period: Duration::from_micros(micros("schedule_period_us")?),
-            offset: Duration::from_micros(micros("schedule_offset_us")?),
-            width: Duration::from_micros(micros("schedule_width_us")?),
-            delay: Duration::from_micros(micros("schedule_delay_us")?),
-        }),
-        "recorded" => {
-            let mut delays = Vec::new();
-            for i in 0.. {
-                let Ok(line) = field(&format!("schedule_recorded_{i}")) else {
-                    break;
-                };
-                let parts: Vec<&str> = line.split_whitespace().collect();
-                if parts.len() != 3 {
-                    return Err(GoldenError::Parse(format!(
-                        "malformed recorded delay: {line}"
-                    )));
-                }
-                delays.push(RecordedDelay {
-                    node: parts[0].to_string(),
-                    firing: parts[1]
-                        .parse()
-                        .map_err(|_| GoldenError::Parse("bad firing index".into()))?,
-                    delay: Duration::from_micros(
-                        parts[2]
-                            .parse()
-                            .map_err(|_| GoldenError::Parse("bad delay".into()))?,
-                    ),
-                });
-            }
-            Ok(JitterSchedule::Recorded(RecordedSchedule::new(delays)))
-        }
-        other => Err(GoldenError::Parse(format!(
-            "unknown schedule kind: {other}"
-        ))),
-    }
+    schedule_from_fields(&read_document(text, &[&SCHEDULE_KEYS])?)
 }
 
 /// Serialises a counterexample in the golden-trace text format: the
@@ -1049,64 +1077,31 @@ pub fn counterexample_to_text(ce: &Counterexample) -> String {
     out
 }
 
-/// Parses the format produced by [`counterexample_to_text`].
+/// Parses the format produced by [`counterexample_to_text`] in one strict
+/// pass over the record, search and schedule keys.
 pub fn counterexample_from_text(text: &str) -> Result<Counterexample, GoldenError> {
-    // `record_from_text` is strict (unknown keys are rejected — it doubles
-    // as wire validation for the shard protocol), so slice the record
-    // section out of the document before handing it over; the schedule and
-    // search-statistics lines are parsed separately below.
-    let record_lines: String = text
-        .lines()
-        .filter(|line| {
-            line.split_once('=')
-                .is_some_and(|(k, _)| crate::golden::RECORD_KEYS.contains(&k.trim()))
-        })
-        .fold(String::new(), |mut out, line| {
-            out.push_str(line);
-            out.push('\n');
-            out
-        });
-    let record = record_from_text(&record_lines)?;
-    let schedule = schedule_from_text(text)?;
-    let field = |key: &str| -> Result<usize, GoldenError> {
-        text.lines()
-            .find_map(|line| {
-                let (k, v) = line.split_once('=')?;
-                (k.trim() == key).then(|| v.trim().parse::<usize>().ok())
-            })
-            .flatten()
-            .ok_or_else(|| GoldenError::Parse(format!("missing field `{key}`")))
-    };
+    let values = read_document(text, &[&RECORD_KEYS, &SEARCH_KEYS, &SCHEDULE_KEYS])?;
+    let (record, rest) = values.split_at(RECORD_KEYS.len());
+    let (search, schedule) = rest.split_at(SEARCH_KEYS.len());
+    let record = record_from_fields(record)?;
+    let f = Fields(&SEARCH_KEYS, search);
     // The reason breakdown is optional: counterexamples saved before
     // switch reasons existed parse to an empty breakdown.
-    let switch_reasons = match text.lines().find_map(|line| {
-        let (k, v) = line.split_once('=')?;
-        (k.trim() == "switch_reasons").then(|| v.trim().to_string())
-    }) {
-        Some(list) => list
-            .split_whitespace()
-            .map(|pair| {
-                let (slug, count) = pair.split_once(':').ok_or_else(|| {
-                    GoldenError::Parse(format!("malformed switch-reason entry: {pair}"))
-                })?;
-                let reason = SwitchReason::from_slug(slug)
-                    .ok_or_else(|| GoldenError::Parse(format!("unknown switch reason: {slug}")))?;
-                let count = count
-                    .parse::<usize>()
-                    .map_err(|_| GoldenError::Parse(format!("bad switch-reason count: {pair}")))?;
-                Ok((reason, count))
-            })
-            .collect::<Result<Vec<_>, GoldenError>>()?,
-        None => Vec::new(),
-    };
+    let switch_reasons = f.get("switch_reasons").unwrap_or_default();
+    let switch_reasons = switch_reasons.split_whitespace().map(|pair| {
+        let bad = || GoldenError::Parse(format!("malformed switch-reason entry: {pair}"));
+        let (slug, count) = pair.split_once(':').ok_or_else(bad)?;
+        let reason = SwitchReason::from_slug(slug).ok_or_else(bad)?;
+        Ok((reason, count.parse::<usize>().map_err(|_| bad())?))
+    });
     Ok(Counterexample {
         scenario: record.scenario.clone(),
         seed: record.seed,
-        schedule,
+        schedule: schedule_from_fields(schedule)?,
         record,
-        evaluations: field("evaluations")?,
-        shrink_steps: field("shrink_steps")?,
-        switch_reasons,
+        evaluations: f.parse("evaluations")?,
+        shrink_steps: f.parse("shrink_steps")?,
+        switch_reasons: switch_reasons.collect::<Result<_, GoldenError>>()?,
     })
 }
 

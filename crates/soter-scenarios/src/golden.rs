@@ -8,22 +8,40 @@
 //! physics, a controller, an oracle or the RNG streams shows up as a digest
 //! mismatch.  Regenerate snapshots by running the golden tests with
 //! `SOTER_BLESS=1` in the environment.
+//!
+//! This module is also the one record codec for every boundary a record
+//! crosses: `read_fields` is the strict `key = value` reader behind every
+//! text document the crate parses (goldens, counterexamples), and
+//! [`write_frame`] / [`read_frame`] are the `<header>\n<record text>END\n`
+//! frame shared by the shard wire protocol, daemon replies and the
+//! result-cache segment.
 
 use crate::campaign::RunRecord;
 use crate::runner::run_scenario;
 use crate::spec::Scenario;
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// The environment variable that switches verification into re-blessing.
 pub const BLESS_ENV: &str = "SOTER_BLESS";
 
+/// The line that closes a record frame.
+const FRAME_END: &str = "END\n";
+
 /// Serialises a record to the `key = value` text format stored under
 /// `tests/golden/`.
 pub fn record_to_text(record: &RunRecord) -> String {
-    format!(
+    let mut out = String::with_capacity(320);
+    write_record(&mut out, record);
+    out
+}
+
+fn write_record(out: &mut String, record: &RunRecord) {
+    let _ = write!(
+        out,
         "scenario = {}\nseed = {}\ndigest = {:#018x}\nsafety_violations = {}\n\
          separation_violations = {}\ninvariant_violations = {}\nmode_switches = {}\n\
          targets_reached = {}\ncompleted = {}\ninterventions = {}\ntime_in_sc_ms = {}\n",
@@ -38,14 +56,12 @@ pub fn record_to_text(record: &RunRecord) -> String {
         record.completed,
         record.interventions,
         record.time_in_sc_ms
-    )
+    );
 }
 
 /// The complete set of keys a serialised [`RunRecord`] may carry, in the
 /// order [`record_to_text`] writes them.  [`record_from_text`] accepts
-/// exactly these keys, each at most once; embedding formats (the
-/// falsifier's counterexample files) use this list to slice the record
-/// section out of a larger document before parsing.
+/// exactly these keys, each at most once.
 pub const RECORD_KEYS: [&str; 11] = [
     "scenario",
     "seed",
@@ -62,74 +78,143 @@ pub const RECORD_KEYS: [&str; 11] = [
 
 /// Parses the text format produced by [`record_to_text`].
 ///
-/// Parsing is strict: every non-blank line must be a `key = value` pair
-/// with a key from the record schema, and no key may appear twice.
-/// Duplicate, unknown and un-parseable lines are rejected with a
-/// [`GoldenError::Parse`] naming the offending line — a corrupted or
-/// hand-edited golden fails loudly instead of silently parsing to a wrong
-/// record.  The shard wire protocol of `soter-serve` reuses this parser,
-/// so the same strictness doubles as wire validation.
+/// Parsing is strict (see `read_fields`): duplicate, unknown and
+/// un-parseable lines are rejected with a [`GoldenError::Parse`] naming
+/// the offending line, so a corrupted or hand-edited golden fails loudly
+/// instead of silently parsing to a wrong record.  Every record frame goes
+/// through this parser too, so the same strictness doubles as wire and
+/// cache-segment validation.
 pub fn record_from_text(text: &str) -> Result<RunRecord, GoldenError> {
-    let mut values: HashMap<&str, String> = HashMap::new();
-    for (number, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some((k, v)) = line.split_once('=') else {
-            return Err(GoldenError::Parse(format!(
-                "line {} is not a `key = value` pair: `{line}`",
-                number + 1
-            )));
-        };
-        let Some(&key) = RECORD_KEYS.iter().find(|&&known| known == k.trim()) else {
-            return Err(GoldenError::Parse(format!(
-                "line {} has an unknown field `{}`: `{line}`",
-                number + 1,
-                k.trim()
-            )));
-        };
-        if values.insert(key, v.trim().to_string()).is_some() {
-            return Err(GoldenError::Parse(format!(
-                "line {} duplicates field `{key}`: `{line}`",
-                number + 1
-            )));
-        }
-    }
-    let field = |key: &str| -> Result<String, GoldenError> {
-        values
-            .get(key)
-            .cloned()
-            .ok_or_else(|| GoldenError::Parse(format!("missing field `{key}`")))
-    };
-    let parse_usize = |key: &str, v: String| {
-        v.parse::<usize>()
-            .map_err(|_| GoldenError::Parse(format!("field `{key}` is not an integer: {v}")))
-    };
-    let digest_text = field("digest")?;
+    let mut values = [None; RECORD_KEYS.len()];
+    read_fields(text, &mut values, |key| {
+        RECORD_KEYS.iter().position(|&known| known == key)
+    })?;
+    record_from_fields(&values)
+}
+
+/// Builds a record from the values read for [`RECORD_KEYS`], slot for slot.
+pub(crate) fn record_from_fields(values: &[Option<&str>]) -> Result<RunRecord, GoldenError> {
+    let f = Fields(&RECORD_KEYS, values);
+    let digest_text = f.get("digest")?;
     let digest = digest_text
         .strip_prefix("0x")
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
         .ok_or_else(|| GoldenError::Parse(format!("bad digest: {digest_text}")))?;
     Ok(RunRecord {
-        scenario: field("scenario")?,
-        seed: field("seed")?
-            .parse()
-            .map_err(|_| GoldenError::Parse("bad seed".into()))?,
+        scenario: f.get("scenario")?.to_string(),
+        seed: f.parse("seed")?,
         digest,
-        safety_violations: parse_usize("safety_violations", field("safety_violations")?)?,
-        separation_violations: parse_usize(
-            "separation_violations",
-            field("separation_violations")?,
-        )?,
-        invariant_violations: parse_usize("invariant_violations", field("invariant_violations")?)?,
-        mode_switches: parse_usize("mode_switches", field("mode_switches")?)?,
-        targets_reached: parse_usize("targets_reached", field("targets_reached")?)?,
-        completed: field("completed")? == "true",
-        interventions: parse_usize("interventions", field("interventions")?)?,
-        time_in_sc_ms: field("time_in_sc_ms")?
-            .parse::<u64>()
-            .map_err(|_| GoldenError::Parse("field `time_in_sc_ms` is not an integer".into()))?,
+        safety_violations: f.parse("safety_violations")?,
+        separation_violations: f.parse("separation_violations")?,
+        invariant_violations: f.parse("invariant_violations")?,
+        mode_switches: f.parse("mode_switches")?,
+        targets_reached: f.parse("targets_reached")?,
+        completed: f.parse("completed")?,
+        interventions: f.parse("interventions")?,
+        time_in_sc_ms: f.parse("time_in_sc_ms")?,
     })
+}
+
+/// The one strict `key = value` reader.  Blank lines are skipped; every
+/// other line must be a `key = value` pair whose key `slot_of` maps to an
+/// index of `values`, and no slot may be filled twice.  Junk lines,
+/// unknown keys and duplicates are rejected with a [`GoldenError::Parse`]
+/// naming the line.  Values are trimmed and borrowed from `text`.
+pub(crate) fn read_fields<'t>(
+    text: &'t str,
+    values: &mut [Option<&'t str>],
+    slot_of: impl Fn(&str) -> Option<usize>,
+) -> Result<(), GoldenError> {
+    for (number, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let fail = |why: String| GoldenError::Parse(format!("line {} {why}: `{line}`", number + 1));
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| fail("is not a `key = value` pair".into()))?;
+        let key = key.trim();
+        let slot = slot_of(key)
+            .and_then(|i| values.get_mut(i))
+            .ok_or_else(|| fail(format!("has an unknown field `{key}`")))?;
+        if slot.replace(value.trim()).is_some() {
+            return Err(fail(format!("duplicates field `{key}`")));
+        }
+    }
+    Ok(())
+}
+
+/// The values [`read_fields`] read, looked up by key: `Fields(keys,
+/// values)` holds in `values[i]` the value read for `keys[i]`.
+pub(crate) struct Fields<'t, 'a>(pub(crate) &'a [&'a str], pub(crate) &'a [Option<&'t str>]);
+
+impl<'t> Fields<'t, '_> {
+    /// The value read for `key`, or an error naming the missing field.
+    pub(crate) fn get(&self, key: &str) -> Result<&'t str, GoldenError> {
+        let slot = self.0.iter().position(|&k| k == key);
+        self.1[slot.expect("a key of this document")]
+            .ok_or_else(|| GoldenError::Parse(format!("missing field `{key}`")))
+    }
+
+    /// Parses the value read for `key`.
+    pub(crate) fn parse<T: FromStr>(&self, key: &str) -> Result<T, GoldenError> {
+        let value = self.get(key)?;
+        value
+            .parse()
+            .map_err(|_| GoldenError::Parse(format!("field `{key}` has a bad value `{value}`")))
+    }
+}
+
+/// Appends one record frame to `out`: the `header` line, the record in
+/// golden text format, and the closing `END` line.
+pub fn write_frame(out: &mut String, header: impl fmt::Display, record: &RunRecord) {
+    let _ = writeln!(out, "{header}");
+    write_record(out, record);
+    out.push_str(FRAME_END);
+}
+
+/// Why [`read_frame`] produced no record.
+#[derive(Debug, PartialEq, Eq)]
+pub enum FrameError {
+    /// The input ended (or failed to read) before the `END` line: the
+    /// frame never arrived whole.
+    Torn,
+    /// The frame is complete but its body is not UTF-8 or not a valid
+    /// record.
+    Corrupt(String),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Torn => f.write_str("EOF inside record frame"),
+            FrameError::Corrupt(why) => write!(f, "invalid record frame: {why}"),
+        }
+    }
+}
+
+/// Reads the body of one record frame — the lines after its header,
+/// through the `END` line — and parses it with [`record_from_text`].
+/// Returns the bytes consumed alongside the outcome; after a
+/// [`FrameError::Corrupt`] frame the input is positioned just past its
+/// `END` line, so a caller can skip it and read on.
+pub fn read_frame(input: &mut dyn BufRead) -> (usize, Result<RunRecord, FrameError>) {
+    let mut body = Vec::with_capacity(320);
+    loop {
+        let start = body.len();
+        match input.read_until(b'\n', &mut body) {
+            Ok(n) if n > 0 && body.ends_with(b"\n") => {}
+            _ => return (body.len(), Err(FrameError::Torn)),
+        }
+        if &body[start..] == FRAME_END.as_bytes() {
+            let record = std::str::from_utf8(&body[..start])
+                .map_err(|_| FrameError::Corrupt("record frame is not UTF-8".into()))
+                .and_then(|text| {
+                    record_from_text(text).map_err(|e| FrameError::Corrupt(e.to_string()))
+                });
+            return (body.len(), record);
+        }
+    }
 }
 
 /// Errors from golden-trace verification.
@@ -258,6 +343,45 @@ mod tests {
             record_from_text(&bad_digest),
             Err(GoldenError::Parse(_))
         ));
+        // `completed` is a bool, not "anything but `true`".
+        let bad_completed =
+            record_to_text(&sample_record()).replace("completed = true", "completed = banana");
+        let err = record_from_text(&bad_completed).unwrap_err();
+        assert!(err.to_string().contains("`completed`"), "{err}");
+        let not_completed = record_to_text(&sample_record()).replace("= true", "= false");
+        assert!(!record_from_text(&not_completed).unwrap().completed);
+    }
+
+    /// The frame reader reports what it consumed, skips past a corrupt
+    /// frame (including a non-UTF-8 one) and tells a torn frame apart.
+    #[test]
+    fn frames_round_trip_and_classify_torn_and_corrupt_bodies() {
+        let mut stream = String::new();
+        write_frame(&mut stream, "REC 0", &sample_record());
+        let frame_len = stream.len();
+        assert_eq!(
+            stream,
+            format!("REC 0\n{}END\n", record_to_text(&sample_record()))
+        );
+        let body = &stream.as_bytes()["REC 0\n".len()..];
+        assert_eq!(
+            read_frame(&mut &body[..]),
+            (body.len(), Ok(sample_record()))
+        );
+
+        let mut bytes = body.to_vec();
+        bytes[3] = 0xff;
+        bytes.extend_from_slice(body);
+        let mut input = &bytes[..];
+        let (consumed, first) = read_frame(&mut input);
+        assert_eq!(consumed, body.len());
+        assert!(matches!(first, Err(FrameError::Corrupt(_))), "{first:?}");
+        assert_eq!(read_frame(&mut input), (body.len(), Ok(sample_record())));
+
+        for cut in [0, 1, body.len() - 1] {
+            let (_, torn) = read_frame(&mut &body[..cut]);
+            assert_eq!(torn, Err(FrameError::Torn), "cut at {cut} of {frame_len}");
+        }
     }
 
     /// A duplicated key parses to *something* only by picking one of the

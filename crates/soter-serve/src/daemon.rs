@@ -16,16 +16,15 @@
 //!
 //! ```text
 //! REPORT <id> runs=<n> shards=<n> cache=<hits>/<lookups> stolen=<n>
-//! REC <index>
-//! <record text, one `key = value` per line>
-//! END
-//! …one frame per record, ascending index…
+//! …one `REC <index>` record frame per record, ascending index…
 //! ENDREPORT <id>
 //! ```
 //!
-//! or, on failure, the single line `ERRREPORT <id> <message>`.  Record
-//! frames reuse the worker protocol's framing, so the same strict parser
-//! validates both hops.
+//! or, on failure, the single line `ERRREPORT <id> <message>`.  The record
+//! frames are the worker protocol's, written by [`write_frame`] and read
+//! back by [`read_frame`], so the same strict parser validates both hops.
+//! A request line that is not UTF-8 gets `ERRREPORT ? …` like any other
+//! malformed request, and the connection keeps serving.
 //!
 //! The `cache=` token reports result-cache hits over lookups for this
 //! campaign and `stolen=` how many jobs moved between shards by work
@@ -45,8 +44,9 @@ use crate::coordinator::{PlanStore, ServeStats, ShardConfig, ShardCoordinator, W
 use crate::error::ServeError;
 use crate::shard::CampaignRequest;
 use soter_scenarios::campaign::{CampaignReport, RunRecord};
-use soter_scenarios::golden::{record_from_text, record_to_text};
+use soter_scenarios::golden::{read_frame, write_frame};
 use soter_scenarios::ResultCache;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,22 +154,26 @@ impl Daemon {
     /// end-of-stream.  Each campaign runs on its own thread; response
     /// blocks are written under a lock so concurrent campaigns never
     /// interleave their frames.
-    pub fn serve<R, W>(&self, input: R, output: W)
+    pub fn serve<R, W>(&self, mut input: R, output: W)
     where
         R: BufRead,
         W: Write + Send + 'static,
     {
         let output = Arc::new(Mutex::new(output));
         let mut in_flight = Vec::new();
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
+        let mut line = Vec::new();
+        while matches!(input.read_until(b'\n', &mut line), Ok(n) if n > 0) {
+            let request = String::from_utf8(std::mem::take(&mut line));
+            if request.as_ref().is_ok_and(|text| text.trim().is_empty()) {
                 continue;
             }
             let daemon = self.clone();
             let output = Arc::clone(&output);
             in_flight.push(std::thread::spawn(move || {
-                let response = daemon.handle_request_line(&line);
+                let response = match request {
+                    Ok(text) => daemon.handle_request_line(&text),
+                    Err(_) => "ERRREPORT ? request line is not UTF-8\n".to_string(),
+                };
                 let mut out = output.lock().expect("daemon output lock");
                 let _ = out.write_all(response.as_bytes());
                 let _ = out.flush();
@@ -291,20 +295,19 @@ fn render_report(
     stats: ServeStats,
 ) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "REPORT {id} runs={} shards={} cache={}/{} stolen={}\n",
+    let _ = writeln!(
+        out,
+        "REPORT {id} runs={} shards={} cache={}/{} stolen={}",
         report.records.len(),
         request.shards,
         stats.cache_hits,
         stats.cache_lookups,
         stats.stolen,
-    ));
+    );
     for (index, record) in report.records.iter().enumerate() {
-        out.push_str(&format!("REC {index}\n"));
-        out.push_str(&record_to_text(record));
-        out.push_str("END\n");
+        write_frame(&mut out, format_args!("REC {index}"), record);
     }
-    out.push_str(&format!("ENDREPORT {id}\n"));
+    let _ = writeln!(out, "ENDREPORT {id}");
     out
 }
 
@@ -331,50 +334,36 @@ pub fn read_response(input: &mut dyn BufRead) -> std::io::Result<String> {
 /// Parses a response block back into `(id, records)`; `ERRREPORT` blocks
 /// come back as [`ServeError::Worker`] carrying the message.
 pub fn parse_response(block: &str) -> Result<(String, Vec<RunRecord>), ServeError> {
-    let mut lines = block.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| ServeError::Request("empty response".into()))?;
-    if let Some(rest) = header.strip_prefix("ERRREPORT ") {
-        let message = rest.split_once(' ').map(|(_, m)| m).unwrap_or(rest);
+    let (header, mut rest) = block.split_once('\n').unwrap_or((block, ""));
+    if let Some(error) = header.strip_prefix("ERRREPORT ") {
+        let message = error.split_once(' ').map(|(_, m)| m).unwrap_or(error);
         return Err(ServeError::Worker(message.to_string()));
     }
-    let rest = header
+    let id = header
         .strip_prefix("REPORT ")
-        .ok_or_else(|| ServeError::Request(format!("expected `REPORT …`, got `{header}`")))?;
-    let id = rest
+        .ok_or_else(|| ServeError::Request(format!("expected `REPORT …`, got `{header}`")))?
         .split_whitespace()
         .next()
         .ok_or_else(|| ServeError::Request("missing response id".into()))?
         .to_string();
     let mut records = Vec::new();
-    while let Some(line) = lines.next() {
+    while !rest.is_empty() {
+        let (line, body) = rest.split_once('\n').unwrap_or((rest, ""));
         if line.starts_with("ENDREPORT ") {
             return Ok((id, records));
         }
-        let Some(index) = line.strip_prefix("REC ") else {
-            return Err(ServeError::Request(format!("unexpected line `{line}`")));
-        };
-        let expected: usize = index
-            .parse()
-            .map_err(|_| ServeError::Request(format!("bad REC index `{line}`")))?;
-        if expected != records.len() {
+        let index = line
+            .strip_prefix("REC ")
+            .and_then(|i| i.parse::<usize>().ok());
+        if index != Some(records.len()) {
             return Err(ServeError::Request(format!(
-                "out-of-order REC index {expected} (expected {})",
+                "expected `REC {}`, got `{line}`",
                 records.len()
             )));
         }
-        let mut payload = String::new();
-        for frame_line in lines.by_ref() {
-            if frame_line == "END" {
-                break;
-            }
-            payload.push_str(frame_line);
-            payload.push('\n');
-        }
-        let record = record_from_text(&payload)
-            .map_err(|e| ServeError::Request(format!("invalid record frame: {e}")))?;
-        records.push(record);
+        let (consumed, record) = read_frame(&mut body.as_bytes());
+        records.push(record.map_err(|e| ServeError::Request(e.to_string()))?);
+        rest = &body[consumed..];
     }
     Err(ServeError::Request(
         "response block missing ENDREPORT".into(),
@@ -516,5 +505,39 @@ mod tests {
         assert!(response.contains("unknown catalog scenario"));
         let response = daemon.handle_request_line("NONSENSE");
         assert!(response.starts_with("ERRREPORT ? "), "{response}");
+    }
+
+    /// A shared byte sink, so a test can read what `serve` wrote.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One non-UTF-8 line gets its own `ERRREPORT` and the session goes
+    /// on: the request after it is still answered.
+    #[test]
+    fn a_non_utf8_request_line_is_answered_and_serving_continues() {
+        let daemon = Daemon::new(ServeConfig::default());
+        let sink = Sink::default();
+        daemon.serve(
+            &b"\xff\xfe\nCAMPAIGN j scenarios=not-a-scenario\n"[..],
+            sink.clone(),
+        );
+        let written = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let mut blocks: Vec<&str> = written.lines().collect();
+        blocks.sort_unstable();
+        assert_eq!(blocks.len(), 2, "{written}");
+        assert!(blocks[0].starts_with("ERRREPORT ? "), "{written}");
+        assert!(blocks[0].contains("not UTF-8"), "{written}");
+        assert!(blocks[1].starts_with("ERRREPORT j "), "{written}");
+        assert!(blocks[1].contains("unknown catalog scenario"), "{written}");
     }
 }

@@ -1,15 +1,11 @@
 //! The line-delimited text protocol spoken between the shard coordinator
 //! and its worker subprocesses, over the workers' stdio.
 //!
-//! Everything on the wire is UTF-8 text, one message per line, except the
-//! record frame: a [`WorkerMsg::Record`] spans a `REC <index>` line, the
-//! record serialised with
-//! [`record_to_text`] (one
-//! `key = value` pair per line), and a closing `END` line.  Record payloads
-//! are parsed with the *strict*
-//! [`record_from_text`] —
-//! duplicate or unknown keys reject the frame — so the golden-trace parser
-//! doubles as wire validation.
+//! Every message is one UTF-8 line, except the record frame: a
+//! [`WorkerMsg::Record`] is a `REC <index>` header followed by the record
+//! body, written by [`write_frame`] and read by [`read_frame`] — the same
+//! codec the golden files, daemon replies and the result-cache segment use,
+//! so the strict golden parser doubles as wire validation.
 //!
 //! Plan-cache entries travel both ways as single `PLAN` lines wrapping
 //! `soter_plan::cache::PlanEntry::to_text` (f64 waypoints as exact bit
@@ -32,7 +28,7 @@
 
 use soter_plan::cache::PlanEntry;
 use soter_scenarios::campaign::RunRecord;
-use soter_scenarios::golden::{record_from_text, record_to_text};
+use soter_scenarios::golden::{read_frame, write_frame};
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -91,37 +87,34 @@ impl CoordMsg {
     /// Parses one wire line.
     pub fn parse(line: &str) -> Result<CoordMsg, ProtocolError> {
         let line = line.trim_end();
-        if line == "DONE" {
-            return Ok(CoordMsg::Done);
+        let bad = |what: &str| ProtocolError(format!("{what} in `{line}`"));
+        match line.split_once(' ').unwrap_or((line, "")) {
+            ("DONE", "") => Ok(CoordMsg::Done),
+            ("PLAN", entry) => parse_plan(entry).map(CoordMsg::Plan),
+            ("RUN", rest) => {
+                let mut parts = rest.splitn(3, ' ');
+                let (index, seed, scenario) = (parts.next(), parts.next(), parts.next());
+                Ok(CoordMsg::Run {
+                    index: index
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| bad("bad RUN index"))?,
+                    seed: seed
+                        .and_then(|v| v.parse().ok())
+                        .ok_or_else(|| bad("bad RUN seed"))?,
+                    scenario: scenario
+                        .filter(|name| !name.is_empty())
+                        .ok_or_else(|| bad("missing RUN scenario"))?
+                        .to_string(),
+                })
+            }
+            _ => Err(bad("unknown coordinator line")),
         }
-        if let Some(rest) = line.strip_prefix("RUN ") {
-            let mut parts = rest.splitn(3, ' ');
-            let index = parts
-                .next()
-                .and_then(|v| v.parse::<usize>().ok())
-                .ok_or_else(|| ProtocolError(format!("bad RUN index in `{line}`")))?;
-            let seed = parts
-                .next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| ProtocolError(format!("bad RUN seed in `{line}`")))?;
-            let scenario = parts
-                .next()
-                .filter(|name| !name.is_empty())
-                .ok_or_else(|| ProtocolError(format!("missing RUN scenario in `{line}`")))?
-                .to_string();
-            return Ok(CoordMsg::Run {
-                index,
-                seed,
-                scenario,
-            });
-        }
-        if let Some(entry) = line.strip_prefix("PLAN ") {
-            return PlanEntry::parse(entry)
-                .map(CoordMsg::Plan)
-                .map_err(|e| ProtocolError(format!("bad PLAN entry: {e}")));
-        }
-        Err(ProtocolError(format!("unknown coordinator line `{line}`")))
     }
+}
+
+/// Parses the payload of a `PLAN` line in either direction.
+fn parse_plan(entry: &str) -> Result<PlanEntry, ProtocolError> {
+    PlanEntry::parse(entry).map_err(|e| ProtocolError(format!("bad PLAN entry: {e}")))
 }
 
 /// Worker → coordinator messages.
@@ -161,9 +154,9 @@ impl WorkerMsg {
             WorkerMsg::Hello { version } => writeln!(out, "HELLO {version}")?,
             WorkerMsg::Heartbeat => writeln!(out, "HB")?,
             WorkerMsg::Record { index, record } => {
-                writeln!(out, "REC {index}")?;
-                out.write_all(record_to_text(record).as_bytes())?;
-                writeln!(out, "END")?;
+                let mut frame = String::new();
+                write_frame(&mut frame, format_args!("REC {index}"), record);
+                out.write_all(frame.as_bytes())?;
             }
             WorkerMsg::Plan(entry) => writeln!(out, "PLAN {}", entry.to_text())?,
             WorkerMsg::Error { message } => writeln!(out, "ERR {}", message.replace('\n', " "))?,
@@ -176,59 +169,35 @@ impl WorkerMsg {
     /// Returns `Ok(None)` on clean end-of-stream (the worker's stdout
     /// closed *between* messages; EOF inside a record frame is an error).
     pub fn read_from(input: &mut dyn BufRead) -> Result<Option<WorkerMsg>, ProtocolError> {
-        let mut line = String::new();
-        match input.read_line(&mut line) {
+        let mut line = Vec::new();
+        match input.read_until(b'\n', &mut line) {
             Ok(0) => return Ok(None),
             Ok(_) => {}
             Err(e) => return Err(ProtocolError(format!("read error: {e}"))),
         }
-        let line = line.trim_end();
-        if line == "HB" {
-            return Ok(Some(WorkerMsg::Heartbeat));
-        }
-        if line == "BYE" {
-            return Ok(Some(WorkerMsg::Bye));
-        }
-        if let Some(version) = line.strip_prefix("HELLO ") {
-            let version = version
-                .parse::<u32>()
-                .map_err(|_| ProtocolError(format!("bad HELLO version `{line}`")))?;
-            return Ok(Some(WorkerMsg::Hello { version }));
-        }
-        if let Some(entry) = line.strip_prefix("PLAN ") {
-            return PlanEntry::parse(entry)
-                .map(|e| Some(WorkerMsg::Plan(e)))
-                .map_err(|e| ProtocolError(format!("bad PLAN entry: {e}")));
-        }
-        if let Some(message) = line.strip_prefix("ERR ") {
-            return Ok(Some(WorkerMsg::Error {
+        let line = std::str::from_utf8(&line)
+            .map_err(|_| ProtocolError("worker line is not UTF-8".into()))?
+            .trim_end();
+        let bad = |what: &str| ProtocolError(format!("{what} in `{line}`"));
+        Ok(Some(match line.split_once(' ').unwrap_or((line, "")) {
+            ("HB", "") => WorkerMsg::Heartbeat,
+            ("BYE", "") => WorkerMsg::Bye,
+            ("HELLO", version) => WorkerMsg::Hello {
+                version: version.parse().map_err(|_| bad("bad HELLO version"))?,
+            },
+            ("PLAN", entry) => WorkerMsg::Plan(parse_plan(entry)?),
+            ("ERR", message) => WorkerMsg::Error {
                 message: message.to_string(),
-            }));
-        }
-        if let Some(index) = line.strip_prefix("REC ") {
-            let index = index
-                .parse::<usize>()
-                .map_err(|_| ProtocolError(format!("bad REC index `{line}`")))?;
-            let mut payload = String::new();
-            loop {
-                let mut frame_line = String::new();
-                match input.read_line(&mut frame_line) {
-                    Ok(0) => {
-                        return Err(ProtocolError(format!("EOF inside record frame #{index}")))
-                    }
-                    Ok(_) => {}
-                    Err(e) => return Err(ProtocolError(format!("read error: {e}"))),
-                }
-                if frame_line.trim_end() == "END" {
-                    break;
-                }
-                payload.push_str(&frame_line);
+            },
+            ("REC", index) => {
+                let index = index.parse().map_err(|_| bad("bad REC index"))?;
+                let record = read_frame(input)
+                    .1
+                    .map_err(|e| ProtocolError(format!("{e} #{index}")))?;
+                WorkerMsg::Record { index, record }
             }
-            let record = record_from_text(&payload)
-                .map_err(|e| ProtocolError(format!("invalid record frame #{index}: {e}")))?;
-            return Ok(Some(WorkerMsg::Record { index, record }));
-        }
-        Err(ProtocolError(format!("unknown worker line `{line}`")))
+            _ => return Err(bad("unknown worker line")),
+        }))
     }
 }
 
@@ -270,6 +239,16 @@ mod tests {
         assert!(CoordMsg::parse("RUN 1 1").is_err());
         assert!(CoordMsg::parse("FLY 1 1 a").is_err());
         assert!(CoordMsg::parse("PLAN zz").is_err());
+    }
+
+    /// A `PLAN` line claiming `u64::MAX` waypoints is a protocol error on
+    /// both directions of the wire, not a panic in a reader thread.
+    #[test]
+    fn an_untrusted_plan_waypoint_count_is_rejected_both_ways() {
+        let line = "PLAN 0 0 0 18446744073709551615";
+        assert!(CoordMsg::parse(line).is_err());
+        let wire = format!("{line}\n");
+        assert!(WorkerMsg::read_from(&mut wire.as_bytes()).is_err());
     }
 
     fn sample_plan_entry() -> PlanEntry {
