@@ -18,7 +18,7 @@
 use crate::node::Node;
 use crate::rta::{FilterKind, Mode, SafetyOracle};
 use crate::time::{Duration, Time};
-use crate::topic::{TopicName, TopicRead, TopicWriter, Value};
+use crate::topic::{TopicName, TopicRead, TopicWriter};
 use std::fmt;
 use std::sync::Arc;
 
@@ -86,6 +86,43 @@ pub struct SwitchEvent {
     pub to: Mode,
     /// Which check triggered the switch.
     pub reason: SwitchReason,
+}
+
+/// The AC-mode check of `filter`: `Some(reason)` when the AC may lead the
+/// state out of `φ_safe` within `horizon`.  This is where the filter kinds
+/// differ.  The DM disengages on it over `2Δ`; the Theorem 3.1 monitor
+/// checks the same predicate over `Δ`.
+pub(crate) fn ac_check(
+    filter: FilterKind,
+    oracle: &dyn SafetyOracle,
+    command_topic: Option<&TopicName>,
+    inputs: &dyn TopicRead,
+    horizon: Duration,
+) -> Option<SwitchReason> {
+    match filter {
+        // The paper's Fig. 9 logic, verbatim.
+        FilterKind::ExplicitSimplex => oracle
+            .may_leave_safe_within(inputs, horizon)
+            .then_some(SwitchReason::ReachUnsafe),
+        FilterKind::ImplicitSimplex => {
+            let command = command_topic
+                .and_then(|t| inputs.get(t.as_str()))
+                .filter(|v| !v.is_unit());
+            match command {
+                Some(cmd) => oracle
+                    .command_may_leave_safe(inputs, cmd, horizon)
+                    .then_some(SwitchReason::CommandUnsafe),
+                // No command observed yet: fall back to the worst-case
+                // (explicit) check.
+                None => oracle
+                    .may_leave_safe_within(inputs, horizon)
+                    .then_some(SwitchReason::ReachUnsafe),
+            }
+        }
+        // The projection gate keeps commands admissible; the AC is only
+        // unsafe as a backstop, when the state itself has left φ_safe.
+        FilterKind::Asif => (!oracle.is_safe(inputs)).then_some(SwitchReason::StateUnsafe),
+    }
 }
 
 /// The decision module node generated for an RTA module.
@@ -245,41 +282,13 @@ impl Node for DecisionModule {
         let two_delta = self.delta * 2;
         match self.mode {
             Mode::Ac => {
-                // The disengage check is where the filter kinds differ; the
-                // explicit arm is the paper's Fig. 9 logic, verbatim.
-                let disengage = match self.filter {
-                    FilterKind::ExplicitSimplex => self
-                        .oracle
-                        .may_leave_safe_within(inputs, two_delta)
-                        .then_some(SwitchReason::ReachUnsafe),
-                    FilterKind::ImplicitSimplex => {
-                        let command: Option<Value> = self
-                            .command_topic
-                            .as_ref()
-                            .and_then(|t| inputs.get(t.as_str()))
-                            .filter(|v| !v.is_unit())
-                            .cloned();
-                        match command {
-                            Some(cmd) => self
-                                .oracle
-                                .command_may_leave_safe(inputs, &cmd, two_delta)
-                                .then_some(SwitchReason::CommandUnsafe),
-                            // No command observed yet: fall back to the
-                            // worst-case (explicit) check.
-                            None => self
-                                .oracle
-                                .may_leave_safe_within(inputs, two_delta)
-                                .then_some(SwitchReason::ReachUnsafe),
-                        }
-                    }
-                    // The projection gate keeps commands admissible; the DM
-                    // only disengages as a backstop when the state itself
-                    // has left φ_safe.
-                    FilterKind::Asif => {
-                        (!self.oracle.is_safe(inputs)).then_some(SwitchReason::StateUnsafe)
-                    }
-                };
-                if let Some(reason) = disengage {
+                if let Some(reason) = ac_check(
+                    self.filter,
+                    &*self.oracle,
+                    self.command_topic.as_ref(),
+                    inputs,
+                    two_delta,
+                ) {
                     self.set_mode(now, Mode::Sc, reason);
                 }
             }

@@ -14,6 +14,7 @@
 //! guarantee holds (and detect the scheduling-starvation violations the
 //! paper reports in its stress campaign).
 
+use crate::dm::ac_check;
 use crate::rta::{FilterKind, Mode, SafetyOracle};
 use crate::time::{Duration, Time};
 use crate::topic::{TopicName, TopicRead};
@@ -117,25 +118,14 @@ impl InvariantMonitor {
                 }
             }
             Mode::Ac => {
-                let may_leave = match self.filter {
-                    FilterKind::ExplicitSimplex => {
-                        self.oracle.may_leave_safe_within(observed, self.delta)
-                    }
-                    FilterKind::ImplicitSimplex => {
-                        let command = self
-                            .command_topic
-                            .as_ref()
-                            .and_then(|t| observed.get(t.as_str()))
-                            .filter(|v| !v.is_unit());
-                        match command {
-                            Some(cmd) => self
-                                .oracle
-                                .command_may_leave_safe(observed, cmd, self.delta),
-                            None => self.oracle.may_leave_safe_within(observed, self.delta),
-                        }
-                    }
-                    FilterKind::Asif => !self.oracle.is_safe(observed),
-                };
+                let may_leave = ac_check(
+                    self.filter,
+                    &*self.oracle,
+                    self.command_topic.as_ref(),
+                    observed,
+                    self.delta,
+                )
+                .is_some();
                 if may_leave {
                     InvariantStatus::ViolatedInAcMode
                 } else {

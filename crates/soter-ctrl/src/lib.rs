@@ -12,9 +12,9 @@
 //!   overshoot-at-speed failure mode of the PX4 experiment (Fig. 5 right),
 //! * [`learned`] — a "data-driven" gain-scheduled controller with
 //!   distribution-shift errors (Fig. 5 left),
-//! * [`safe`] — the certified safe tracking controller (FaSTrack
-//!   substitute) with an explicit certified envelope, and the safe landing
-//!   controller used by the battery-safety module,
+//! * [`shielded`] — the certified safe controller (FaSTrack substitute) of
+//!   the motion-primitive RTA module: a speed-capped tracker with an
+//!   obstacle-repulsion field over the workspace,
 //! * [`fault`] — fault injection wrappers used by the robustness
 //!   experiments,
 //! * [`reference`](mod@reference) — waypoint circuits and the figure-eight reference of
@@ -27,13 +27,11 @@ pub mod fault;
 pub mod learned;
 pub mod px4_like;
 pub mod reference;
-pub mod safe;
 pub mod shielded;
 pub mod traits;
 
 pub use fault::{FaultInjector, FaultSpec};
 pub use learned::LearnedController;
 pub use px4_like::Px4LikeController;
-pub use safe::{CertifiedEnvelope, SafeLandingController, SafeTrackingController};
 pub use shielded::{ShieldedSafeConfig, ShieldedSafeController};
 pub use traits::MotionController;

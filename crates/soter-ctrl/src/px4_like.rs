@@ -99,10 +99,11 @@ impl MotionController for Px4LikeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::safe::SafeTrackingController;
+    use crate::shielded::ShieldedSafeController;
     use crate::traits::simulate_to_waypoint;
     use soter_sim::dynamics::QuadrotorDynamics;
-    use soter_sim::geometry::point_segment_distance;
+    use soter_sim::geometry::{point_segment_distance, Aabb};
+    use soter_sim::world::Workspace;
 
     fn dynamics() -> QuadrotorDynamics {
         QuadrotorDynamics::default()
@@ -123,7 +124,11 @@ mod tests {
         let start = DroneState::at_rest(Vec3::new(0.0, 0.0, 5.0));
         let target = Vec3::new(20.0, 0.0, 5.0);
         let mut ac = Px4LikeController::default();
-        let mut sc = SafeTrackingController::default();
+        let open_sky = Workspace::empty(Aabb::new(
+            Vec3::new(-50.0, -50.0, 0.0),
+            Vec3::new(50.0, 50.0, 20.0),
+        ));
+        let mut sc = ShieldedSafeController::with_workspace(open_sky);
         let (t_ac, _) = simulate_to_waypoint(&mut ac, &dynamics(), start, target, 0.01, 120.0, 0.5);
         let (t_sc, _) = simulate_to_waypoint(&mut sc, &dynamics(), start, target, 0.01, 120.0, 0.5);
         assert!(

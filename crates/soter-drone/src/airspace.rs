@@ -17,13 +17,14 @@
 //!   ([`soter_reach::peers::PeerSeparation`]) alongside the static
 //!   obstacle check `φ_mpr`.
 //!
-//! The certified safe controller of a fleet drone is the
-//! [`YieldingSafeNode`]: the shielded tracker of the single-drone stack
-//! plus a *yield* rule — brake to hover whenever a peer is inside the
-//! yield bubble.  Braking is the classic certified separation maneuver:
-//! the decision module's reach check includes both vehicles' braking
-//! footprints, so by the time two drones are mutually yielding their
-//! stopping envelopes are still disjoint.
+//! The safe controller of a fleet drone is the [`YieldingSafeNode`]: the
+//! shielded tracker of the single-drone stack plus a *yield* rule — when a
+//! peer is inside the yield bubble (widened by both vehicles' braking
+//! distances), brake against the own velocity and dodge to starboard of
+//! the line to the peer, so two head-on drones pass on opposite sides.
+//! The decision module's reach check includes both vehicles' braking
+//! footprints, but the yield maneuver itself is not certified: nothing
+//! checks it against `φ_mpr` or `φ_sep`.
 
 use crate::nodes::CircuitNode;
 use crate::oracles::MotionPrimitiveOracle;
@@ -150,11 +151,11 @@ impl Node for ScopedNode {
     }
 }
 
-/// The certified safe motion primitive of a fleet drone: the shielded
-/// obstacle-aware tracker, plus the **yield rule** — brake to hover
-/// whenever a peer is inside `yield_radius`.  Unlike the nodes wrapped in
-/// [`ScopedNode`], this node is natively scoped because it must subscribe
-/// to the *other* drones' position topics.
+/// The safe motion primitive of a fleet drone: the shielded obstacle-aware
+/// tracker, plus the **yield rule** — brake and dodge to starboard whenever
+/// a peer is within `yield_radius` plus both vehicles' braking distances.
+/// Unlike the nodes wrapped in [`ScopedNode`], this node is natively scoped
+/// because it must subscribe to the *other* drones' position topics.
 pub struct YieldingSafeNode {
     name: String,
     controller: ShieldedSafeController,

@@ -452,9 +452,17 @@ impl Node for CircuitNode {
 mod tests {
     use super::*;
     use soter_core::topic::TopicMap;
-    use soter_ctrl::safe::SafeTrackingController;
+    use soter_ctrl::shielded::ShieldedSafeController;
     use soter_plan::astar::GridAstar;
     use soter_sim::dynamics::DroneState;
+    use soter_sim::geometry::Aabb;
+
+    fn safe_controller() -> ShieldedSafeController {
+        ShieldedSafeController::with_workspace(Workspace::empty(Aabb::new(
+            Vec3::new(-50.0, -50.0, 0.0),
+            Vec3::new(50.0, 50.0, 20.0),
+        )))
+    }
 
     fn state_inputs(pos: Vec3) -> TopicMap {
         let mut m = TopicMap::new();
@@ -467,12 +475,8 @@ mod tests {
 
     #[test]
     fn controller_node_publishes_control_toward_target() {
-        let mut node = ControllerNode::new(
-            "mpr_sc",
-            SafeTrackingController::default(),
-            Duration::from_millis(10),
-            3.0,
-        );
+        let mut node =
+            ControllerNode::new("mpr_sc", safe_controller(), Duration::from_millis(10), 3.0);
         let mut inputs = state_inputs(Vec3::new(0.0, 0.0, 3.0));
         inputs.insert(topics::TARGET_WAYPOINT, Value::Vector([10.0, 0.0, 3.0]));
         let out = node.step_to_map(Time::ZERO, &inputs);
@@ -485,24 +489,16 @@ mod tests {
 
     #[test]
     fn controller_node_without_state_publishes_nothing() {
-        let mut node = ControllerNode::new(
-            "mpr_sc",
-            SafeTrackingController::default(),
-            Duration::from_millis(10),
-            3.0,
-        );
+        let mut node =
+            ControllerNode::new("mpr_sc", safe_controller(), Duration::from_millis(10), 3.0);
         let out = node.step_to_map(Time::ZERO, &TopicMap::new());
         assert!(out.is_empty());
     }
 
     #[test]
     fn controller_node_hovers_without_target() {
-        let mut node = ControllerNode::new(
-            "mpr_sc",
-            SafeTrackingController::default(),
-            Duration::from_millis(10),
-            3.0,
-        );
+        let mut node =
+            ControllerNode::new("mpr_sc", safe_controller(), Duration::from_millis(10), 3.0);
         let out = node.step_to_map(Time::ZERO, &state_inputs(Vec3::new(5.0, 5.0, 3.0)));
         let u = out
             .get(topics::CONTROL_ACTION)

@@ -152,29 +152,6 @@ impl ForwardReach {
         let braking = self.dynamics.stopping_distance(s.speed());
         Aabb::new(lo, hi).inflate(self.estimation_error + slack + braking)
     }
-
-    /// Axis-aligned over-approximation of the positions reachable within
-    /// `horizon` when the controller is the *certified safe controller*,
-    /// whose closed loop guarantees the speed never exceeds `sc_speed_cap`
-    /// and whose tracking error around its reference is at most
-    /// `sc_tracking_error`.  This is the `Reach(s, N_sc, t)` used when
-    /// reasoning about P2a/P3-style properties.
-    pub fn occupancy_under_safe_controller(
-        &self,
-        state: &DroneState,
-        horizon: f64,
-        sc_speed_cap: f64,
-        sc_tracking_error: f64,
-    ) -> Aabb {
-        assert!(horizon >= 0.0, "horizon must be non-negative");
-        assert!(sc_speed_cap >= 0.0 && sc_tracking_error >= 0.0);
-        // Under the SC the speed is capped, so the excursion is at most
-        // cap * t plus the braking distance from the current speed, plus the
-        // certified tracking error and sensing error.
-        let braking = self.dynamics.stopping_distance(state.speed());
-        let r = sc_speed_cap * horizon + braking + sc_tracking_error + self.estimation_error;
-        Aabb::from_center_extents(state.position, Vec3::splat(2.0 * r))
-    }
 }
 
 #[cfg(test)]
@@ -218,18 +195,6 @@ mod tests {
         let occ = r.occupancy(&s, 0.0);
         // Radius should be exactly the estimation error (0.1).
         assert!((occ.extents().x - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sc_occupancy_is_tighter_than_any_control() {
-        let r = reach();
-        let s = DroneState {
-            position: Vec3::ZERO,
-            velocity: Vec3::new(1.0, 0.0, 0.0),
-        };
-        let any = r.occupancy(&s, 1.0);
-        let sc = r.occupancy_under_safe_controller(&s, 1.0, 1.5, 0.3);
-        assert!(sc.volume() < any.volume());
     }
 
     #[test]

@@ -6,20 +6,17 @@
 //! state lies in the stronger region `φ_safer = R(φ_safe, 2Δ)` used to hand
 //! control back to the advanced controller (Sec. III and V-A of the paper).
 //! The paper computes these sets offline with the Level-Set Toolbox and
-//! FaSTrack; this crate provides the equivalent machinery over the
+//! FaSTrack; this crate checks them online by forward reach over the
 //! `soter-sim` quadrotor model:
 //!
-//! * [`interval`] — interval arithmetic primitives,
 //! * [`forward`] — forward reachable-set over-approximation of the
 //!   double-integrator under bounded inputs (the `Reach(s, *, t)`
 //!   over-approximation),
 //! * [`ttf`] — the time-to-failure check `ttf_2Δ(s, φ_safe)` against an
-//!   obstacle workspace, plus a scalar time-to-failure estimate,
-//! * [`backward`] — grid-based backward reachable sets from the unsafe
-//!   region (the Level-Set-Toolbox substitute) and the region operator
-//!   `R(φ, t)` used to derive `φ_safer`,
-//! * [`regions`] — classification of states into the operating regions of
-//!   Fig. 10 (unsafe / switching / recoverable / safer),
+//!   obstacle workspace, plus a scalar time-to-failure estimate.  The same
+//!   check over the longer horizon `k·2Δ` decides membership of
+//!   `φ_safer = R(φ_safe, k·2Δ)` (`soter-drone`'s
+//!   `MotionPrimitiveOracle::is_safer`),
 //! * [`peers`] — peer forward-reach sets as *dynamic* unsafe regions: the
 //!   multi-drone separation invariant φ_sep used by airspace decision
 //!   modules.
@@ -27,16 +24,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod backward;
 pub mod forward;
-pub mod interval;
 pub mod peers;
-pub mod regions;
 pub mod ttf;
 
-pub use backward::ReachGrid;
 pub use forward::ForwardReach;
-pub use interval::Interval;
 pub use peers::PeerSeparation;
-pub use regions::{classify, OperatingRegion};
 pub use ttf::ObstacleTtf;

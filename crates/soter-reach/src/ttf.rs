@@ -136,8 +136,7 @@ impl ObstacleTtf {
     /// A scalar time-to-failure estimate: the largest horizon `t ≤ max_horizon`
     /// (to within `tolerance`) for which the state provably cannot leave
     /// `φ_safe`.  Returns `0.0` if the state is already unsafe and
-    /// `max_horizon` if no failure is reachable within the window.  Used to
-    /// plot the operating regions of Fig. 10 and by the Δ-ablation bench.
+    /// `max_horizon` if no failure is reachable within the window.
     pub fn time_to_failure(&self, state: &DroneState, max_horizon: f64, tolerance: f64) -> f64 {
         assert!(max_horizon > 0.0 && tolerance > 0.0);
         if !self.is_safe(state) {

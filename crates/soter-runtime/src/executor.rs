@@ -15,7 +15,8 @@
 //! * `Topics` — the globally visible topic valuation.
 //!
 //! The four transition rules map onto the executor as follows:
-//! ENVIRONMENT-INPUT is produced by an optional [`EnvironmentModel`];
+//! ENVIRONMENT-INPUT is [`Executor::publish`], called from outside the
+//! node system;
 //! DISCRETE-TIME-PROGRESS-STEP advances `ct` to the earliest pending
 //! calendar entry and populates `FN`; DM-STEP fires a decision module and
 //! rewrites the OE entries of its controllers; AC-OR-SC-STEP fires a
@@ -61,26 +62,6 @@ use soter_core::topic::{
     SlotView, TopicId, TopicInterner, TopicMap, TopicName, TopicRead, TopicWriter, Value,
 };
 use std::cell::OnceCell;
-
-/// A source of ENVIRONMENT-INPUT transitions: values published onto the
-/// system's environment topics from outside the node system.
-pub trait EnvironmentModel: Send {
-    /// Called once per discrete instant, immediately after time advances to
-    /// `now` and before any node fires; returns the topic updates to inject.
-    fn inputs_at(&mut self, now: Time) -> Vec<(TopicName, Value)>;
-}
-
-/// An [`EnvironmentModel`] backed by a closure.
-pub struct FnEnvironment<F>(pub F);
-
-impl<F> EnvironmentModel for FnEnvironment<F>
-where
-    F: FnMut(Time) -> Vec<(TopicName, Value)> + Send,
-{
-    fn inputs_at(&mut self, now: Time) -> Vec<(TopicName, Value)> {
-        (self.0)(now)
-    }
-}
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
@@ -272,7 +253,6 @@ pub struct Executor {
     now: Time,
     trace: Trace,
     monitors: Vec<InvariantMonitor>,
-    environment: Option<Box<dyn EnvironmentModel>>,
     sampler: Box<dyn ScheduleSampler>,
     observers: Vec<Observer>,
     fired_steps: u64,
@@ -324,27 +304,12 @@ impl Executor {
             now: Time::ZERO,
             trace,
             monitors,
-            environment: None,
             sampler,
             observers: Vec::new(),
             fired_steps: 0,
             fireable_scratch: Vec::new(),
             out_scratch: Vec::new(),
         }
-    }
-
-    /// Replaces the schedule sampler (e.g. with a custom
-    /// [`ScheduleSampler`] implementation not expressible as a
-    /// [`JitterSchedule`]).  Must be called before the first instant is
-    /// stepped for the run to be reproducible from the sampler alone.
-    pub fn set_schedule_sampler(&mut self, sampler: Box<dyn ScheduleSampler>) {
-        self.sampler = sampler;
-    }
-
-    /// Installs the environment model producing ENVIRONMENT-INPUT
-    /// transitions.
-    pub fn set_environment(&mut self, env: impl EnvironmentModel + 'static) {
-        self.environment = Some(Box::new(env));
     }
 
     /// Registers an observer called after every discrete instant with the
@@ -480,9 +445,9 @@ impl Executor {
     }
 
     /// Executes one discrete instant: advances time to the earliest calendar
-    /// entry, injects environment inputs, and fires every node scheduled at
-    /// that instant (decision modules first, then controllers, then free
-    /// nodes).  Returns the new time, or `None` if the calendar is empty.
+    /// entry and fires every node scheduled at that instant (decision
+    /// modules first, then controllers, then free nodes).  Returns the new
+    /// time, or `None` if the calendar is empty.
     pub fn step_instant(&mut self) -> Option<Time> {
         let next_time = self.begin_instant()?;
         let mut fireable = std::mem::take(&mut self.fireable_scratch);
@@ -530,20 +495,11 @@ impl Executor {
         Some(next_time)
     }
 
-    /// DISCRETE-TIME-PROGRESS-STEP plus ENVIRONMENT-INPUT: advances `ct` to
-    /// the earliest pending calendar entry and injects environment inputs.
+    /// DISCRETE-TIME-PROGRESS-STEP: advances `ct` to the earliest pending
+    /// calendar entry.
     fn begin_instant(&mut self) -> Option<Time> {
         let next_time = self.next_due.iter().copied().min()?;
         self.now = next_time;
-        if let Some(env) = self.environment.as_mut() {
-            for (topic, value) in env.inputs_at(next_time) {
-                self.trace.record(TraceEvent::EnvironmentInput {
-                    time: next_time,
-                    topic: topic.clone(),
-                });
-                self.set_topic(topic, value);
-            }
-        }
         Some(next_time)
     }
 
@@ -939,34 +895,6 @@ mod tests {
         // Plant fires at 10..100 ms (10 instants); AC/SC/DM share the 100 ms
         // instant with the plant, so there are exactly 10 distinct instants.
         assert_eq!(counter.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn environment_model_injects_inputs() {
-        let mut sys = RtaSystem::new("env-test");
-        sys.add_node(
-            FnNode::builder("reader")
-                .subscribes(["wind"])
-                .publishes(["echo"])
-                .period(Duration::from_millis(50))
-                .step(|_, inputs, out| {
-                    out.insert("echo", inputs.get_or_unit("wind"));
-                })
-                .build(),
-        )
-        .unwrap();
-        let mut exec = Executor::new(sys);
-        exec.set_environment(FnEnvironment(|now: Time| {
-            vec![(TopicName::new("wind"), Value::Float(now.as_secs_f64()))]
-        }));
-        exec.run_until(Time::from_millis(200));
-        let echoed = exec.topics().get("echo").and_then(Value::as_float).unwrap();
-        assert!(echoed > 0.0);
-        assert!(exec
-            .trace()
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::EnvironmentInput { topic, .. } if topic == "wind")));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   the configuration `(L, OE, ct, FN, Topics)`, advances time to the next
 //!   calendar entry (DISCRETE-TIME-PROGRESS-STEP), fires decision modules
 //!   (DM-STEP, updating the output-enable map), fires controller and free
-//!   nodes (AC-OR-SC-STEP, gating their outputs on the OE map), and lets an
-//!   [`executor::EnvironmentModel`] inject ENVIRONMENT-INPUT transitions,
+//!   nodes (AC-OR-SC-STEP, gating their outputs on the OE map), and takes
+//!   ENVIRONMENT-INPUT transitions through [`Executor::publish`],
 //! * [`trace`] — structured execution traces (node firings, mode switches,
 //!   invariant violations) used by the experiment harness and tests,
 //! * [`jitter`] — the stochastic i.i.d. scheduling-jitter model that delays
@@ -50,7 +50,7 @@ pub mod jitter;
 pub mod schedule;
 pub mod trace;
 
-pub use executor::{EnvironmentModel, Executor, ExecutorConfig};
+pub use executor::{Executor, ExecutorConfig};
 pub use explore::{ExplorationReport, SystematicTester};
 pub use jitter::JitterModel;
 pub use schedule::{delta_slack, JitterSchedule, RecordedDelay, RecordedSchedule, ScheduleSampler};

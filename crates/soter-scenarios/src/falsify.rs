@@ -315,27 +315,16 @@ impl Falsifier {
             .with_jitter(JitterSpec::Schedule(schedule.clone()))
     }
 
-    /// Evaluates a batch of schedules through the work-stealing campaign
-    /// stream, returning records in batch (matrix) order — deterministic
-    /// whatever the worker count.
+    /// Evaluates a batch of schedules through the work-stealing campaign,
+    /// returning records in batch (matrix) order — deterministic whatever
+    /// the worker count.
     pub fn evaluate(&self, schedules: &[JitterSchedule]) -> Vec<RunRecord> {
-        if schedules.is_empty() {
-            return Vec::new();
-        }
         let scenarios: Vec<Scenario> = schedules.iter().map(|s| self.candidate(s)).collect();
-        let stream = Campaign::new(scenarios)
+        Campaign::new(scenarios)
             .with_workers(self.config.workers)
             .with_plan_cache(Arc::clone(&self.cache))
-            .stream();
-        let total = stream.progress().total();
-        let mut slots: Vec<Option<RunRecord>> = (0..total).map(|_| None).collect();
-        for item in stream {
-            slots[item.index] = Some(item.record);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every candidate evaluates"))
-            .collect()
+            .run()
+            .records
     }
 
     /// Draws one random candidate from the space.

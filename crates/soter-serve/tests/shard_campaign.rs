@@ -185,6 +185,39 @@ fn repeatedly_crashing_workers_exhaust_the_attempt_budget() {
     assert!(message.contains("after 2 attempts"), "{message}");
 }
 
+/// Starts `Daemon::serve_unix_until` on a fresh socket named after `tag`
+/// and waits for the socket to appear.  Set the returned flag to stop the
+/// daemon, then join the handle.
+#[cfg(unix)]
+fn spawn_unix_daemon(
+    tag: &str,
+    config: ServeConfig,
+) -> (
+    PathBuf,
+    std::sync::Arc<std::sync::atomic::AtomicBool>,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let socket =
+        std::env::temp_dir().join(format!("soter-serve-{tag}-{}.sock", std::process::id()));
+    let daemon = Daemon::new(config);
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = {
+        let socket = socket.clone();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || daemon.serve_unix_until(&socket, stop))
+    };
+    for _ in 0..200 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    (socket, stop, server)
+}
+
 /// The daemon over a unix socket: two clients with concurrent campaigns
 /// multiplexed over one worker pool, each answer matching the in-process
 /// campaign for its own request.
@@ -192,31 +225,17 @@ fn repeatedly_crashing_workers_exhaust_the_attempt_budget() {
 #[test]
 fn daemon_multiplexes_concurrent_unix_socket_clients_over_one_pool() {
     use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::Ordering;
 
-    let socket = std::env::temp_dir().join(format!("soter-serve-{}.sock", std::process::id()));
-    let config = ServeConfig {
-        shard: test_config(),
-        default_shards: 2,
-        pool_capacity: 2,
-        ..ServeConfig::default()
-    };
-    let daemon = Daemon::new(config);
-    let stop = Arc::new(AtomicBool::new(false));
-    let server = {
-        let daemon = daemon.clone();
-        let socket = socket.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || daemon.serve_unix_until(&socket, stop))
-    };
-    // Wait for the socket to appear.
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    let (socket, stop, server) = spawn_unix_daemon(
+        "multiplex",
+        ServeConfig {
+            shard: test_config(),
+            default_shards: 2,
+            pool_capacity: 2,
+            ..ServeConfig::default()
+        },
+    );
 
     let clients: Vec<_> = [
         (
@@ -264,6 +283,84 @@ fn daemon_multiplexes_concurrent_unix_socket_clients_over_one_pool() {
         .run();
     assert_eq!(results[0], alpha_expected.records);
     assert_eq!(results[1], beta_expected.records);
+}
+
+/// Garbage on a live socket: a non-UTF-8 line, a junk verb, a blank line
+/// and an unknown scenario each cost only their own line.  Every bad line
+/// gets one `ERRREPORT`, the blank line gets nothing, the valid request on
+/// the same connection still gets its `REPORT`, and a second connection
+/// is served afterwards.
+#[cfg(unix)]
+#[test]
+fn daemon_socket_answers_garbage_lines_and_keeps_serving() {
+    use std::io::BufRead;
+    use std::net::Shutdown;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::Ordering;
+
+    let (socket, stop, server) = spawn_unix_daemon(
+        "garbage",
+        ServeConfig {
+            shard: test_config(),
+            default_shards: 1,
+            pool_capacity: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let expected = CampaignRequest::new(["serve-smoke"])
+        .with_seeds([3])
+        .in_process_campaign()
+        .unwrap()
+        .run()
+        .records;
+    let good = b"CAMPAIGN good scenarios=serve-smoke seeds=3 shards=1\n";
+
+    // Closing the write half makes the daemon finish this connection's
+    // requests and close it, so reading to EOF sees every reply it sent.
+    let mut stream = UnixStream::connect(&socket).expect("connect to daemon");
+    stream.write_all(b"\xff\xfe\n").unwrap();
+    stream.write_all(b"FLY me to the moon\n").unwrap();
+    stream.write_all(b"\n").unwrap();
+    stream
+        .write_all(b"CAMPAIGN j scenarios=not-a-scenario\n")
+        .unwrap();
+    stream.write_all(good).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut errors = Vec::new();
+    let mut reports = Vec::new();
+    while !reader.fill_buf().unwrap().is_empty() {
+        let block = read_response(&mut reader).expect("a whole response block");
+        match parse_response(&block) {
+            Ok((id, records)) => reports.push((id, records)),
+            Err(_) => errors.push(block),
+        }
+    }
+    errors.sort();
+    assert_eq!(errors.len(), 3, "one ERRREPORT per bad line: {errors:?}");
+    assert!(errors[0].starts_with("ERRREPORT ? "), "{}", errors[0]);
+    assert!(errors[1].starts_with("ERRREPORT ? "), "{}", errors[1]);
+    assert!(errors
+        .iter()
+        .any(|e| e == "ERRREPORT ? request line is not UTF-8\n"));
+    assert!(
+        errors[2].starts_with("ERRREPORT j ") && errors[2].contains("unknown catalog scenario"),
+        "{}",
+        errors[2]
+    );
+    assert_eq!(reports, vec![("good".to_string(), expected.clone())]);
+
+    // A second connection is served as usual.
+    let mut stream = UnixStream::connect(&socket).expect("reconnect to daemon");
+    stream.write_all(good).unwrap();
+    let block = read_response(&mut BufReader::new(stream)).expect("read response");
+    assert_eq!(
+        parse_response(&block).expect("a REPORT"),
+        ("good".to_string(), expected)
+    );
+
+    stop.store(true, Ordering::Relaxed);
+    server.join().unwrap().expect("daemon shut down cleanly");
 }
 
 /// The stdin transport: malformed and unknown-scenario requests get

@@ -8,86 +8,18 @@
 //!
 //! `φ_sep := ∀ i ≠ j. ‖pᵢ − pⱼ‖ > r_sep`
 //!
-//! for a minimum separation radius `r_sep`.  [`Airspace`] bundles the shared
-//! workspace with that radius and answers point-wise separation queries;
-//! [`SeparationMonitor`] is the streaming ground-truth monitor the scenario
-//! runner uses to count φ_sep violation *episodes* (a pair entering
-//! violation counts once, mirroring how collision episodes are counted for
-//! `φ_safe`).
+//! for a minimum separation radius `r_sep`.  [`SeparationMonitor`] is the
+//! streaming ground-truth check of φ_sep: the scenario runner feeds it the
+//! fleet's positions and reads back the number of violation *episodes* (a
+//! pair entering violation counts once, mirroring how collision episodes
+//! are counted for `φ_safe`) and the minimum separation seen.
 //!
 //! The *predictive* side — treating peer forward-reach sets as unsafe
 //! regions inside a decision module's oracle — lives in
 //! `soter_reach::peers`; this module is only about ground truth.
 
 use crate::vec3::Vec3;
-use crate::world::Workspace;
 use std::collections::BTreeSet;
-
-/// A shared workspace plus the fleet's minimum separation radius `r_sep`.
-#[derive(Debug, Clone)]
-pub struct Airspace {
-    workspace: Workspace,
-    separation_radius: f64,
-}
-
-impl Airspace {
-    /// Creates an airspace over a workspace with the given separation
-    /// radius (metres, centre-to-centre).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `separation_radius` is not positive.
-    pub fn new(workspace: Workspace, separation_radius: f64) -> Self {
-        assert!(
-            separation_radius > 0.0,
-            "separation radius must be positive"
-        );
-        Airspace {
-            workspace,
-            separation_radius,
-        }
-    }
-
-    /// The shared workspace.
-    pub fn workspace(&self) -> &Workspace {
-        &self.workspace
-    }
-
-    /// The minimum separation radius `r_sep`.
-    pub fn separation_radius(&self) -> f64 {
-        self.separation_radius
-    }
-
-    /// Returns `true` if every pair of positions satisfies φ_sep.
-    pub fn separation_ok(&self, positions: &[Vec3]) -> bool {
-        self.violating_pairs(positions).is_empty()
-    }
-
-    /// The index pairs `(i, j)` with `i < j` that violate φ_sep.
-    pub fn violating_pairs(&self, positions: &[Vec3]) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for i in 0..positions.len() {
-            for j in (i + 1)..positions.len() {
-                if positions[i].distance(&positions[j]) <= self.separation_radius {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs
-    }
-}
-
-/// The smallest pairwise distance among a set of positions (`None` for
-/// fewer than two positions).
-pub fn min_pairwise_separation(positions: &[Vec3]) -> Option<f64> {
-    let mut min = f64::INFINITY;
-    for i in 0..positions.len() {
-        for j in (i + 1)..positions.len() {
-            min = min.min(positions[i].distance(&positions[j]));
-        }
-    }
-    (positions.len() >= 2).then_some(min)
-}
 
 /// Streaming ground-truth monitor for the separation invariant φ_sep.
 ///
@@ -152,35 +84,6 @@ impl SeparationMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::Aabb;
-
-    fn open_airspace(radius: f64) -> Airspace {
-        let ws = Workspace::empty(Aabb::new(Vec3::ZERO, Vec3::splat(50.0)));
-        Airspace::new(ws, radius)
-    }
-
-    #[test]
-    fn separation_queries_flag_close_pairs() {
-        let a = open_airspace(2.0);
-        let far = [Vec3::new(0.0, 0.0, 5.0), Vec3::new(10.0, 0.0, 5.0)];
-        assert!(a.separation_ok(&far));
-        let close = [
-            Vec3::new(0.0, 0.0, 5.0),
-            Vec3::new(1.0, 0.0, 5.0),
-            Vec3::new(10.0, 0.0, 5.0),
-        ];
-        assert!(!a.separation_ok(&close));
-        assert_eq!(a.violating_pairs(&close), vec![(0, 1)]);
-        assert_eq!(a.separation_radius(), 2.0);
-    }
-
-    #[test]
-    fn min_pairwise_separation_handles_small_fleets() {
-        assert_eq!(min_pairwise_separation(&[]), None);
-        assert_eq!(min_pairwise_separation(&[Vec3::ZERO]), None);
-        let d = min_pairwise_separation(&[Vec3::ZERO, Vec3::new(3.0, 4.0, 0.0)]).unwrap();
-        assert!((d - 5.0).abs() < 1e-12);
-    }
 
     #[test]
     fn monitor_counts_episodes_not_samples() {

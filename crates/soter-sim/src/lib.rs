@@ -19,8 +19,8 @@
 //!   input,
 //! * [`trajectory`] — trajectory recording and mission metrics used by the
 //!   experiment harness,
-//! * [`airspace`] — shared multi-drone airspaces: the separation invariant
-//!   φ_sep and its ground-truth episode monitor.
+//! * [`airspace`] — the multi-drone separation invariant φ_sep and its
+//!   ground-truth episode monitor.
 //!
 //! Everything is deterministic given a seed, so experiments are reproducible.
 //!
@@ -48,7 +48,7 @@ pub mod vec3;
 pub mod wind;
 pub mod world;
 
-pub use airspace::{Airspace, SeparationMonitor};
+pub use airspace::SeparationMonitor;
 pub use battery::Battery;
 pub use drone::Drone;
 pub use dynamics::{ControlInput, DroneState, QuadrotorDynamics};

@@ -9,11 +9,11 @@
 //! | [`core`] (`soter-core`) | topics, periodic nodes, RTA modules, decision modules, well-formedness, composition |
 //! | [`runtime`] (`soter-runtime`) | the discrete-event executor (Fig. 11 semantics), traces, jitter, systematic testing |
 //! | [`sim`] (`soter-sim`) | quadrotor + battery + obstacle-world simulator (the Gazebo/PX4 substitute) |
-//! | [`reach`] (`soter-reach`) | forward/backward reachability, time-to-failure, operating regions |
-//! | [`ctrl`] (`soter-ctrl`) | advanced and certified-safe motion primitives, fault injection |
+//! | [`reach`] (`soter-reach`) | forward reachability, time-to-failure (`φ_safe` and `φ_safer` checks), peer separation reach-sets |
+//! | [`ctrl`] (`soter-ctrl`) | advanced motion primitives, the shielded certified-safe controller, fault injection |
 //! | [`plan`] (`soter-plan`) | RRT*, buggy RRT*, grid A*, plan validation, surveillance protocol |
 //! | [`drone`] (`soter-drone`) | the paper's drone surveillance case study: stacks, nodes, oracles, reports |
-//! | [`scenarios`] (`soter-scenarios`) | declarative mission scenarios, campaign fan-out, golden-trace regression, experiment drivers |
+//! | [`scenarios`] (`soter-scenarios`) | declarative mission scenarios and the catalog, campaign fan-out, falsification, golden-trace regression |
 //! | [`serve`] (`soter-serve`) | crash-safe sharded campaigns: worker subprocesses, shard coordinator, `soter-serve` daemon |
 //!
 //! ## Quickstart
@@ -93,7 +93,8 @@ mod tests {
         // fails to compile.
         let _ = crate::core::time::Duration::from_millis(1);
         let _ = crate::sim::Vec3::ZERO;
-        let _ = crate::reach::Interval::point(0.0);
+        let _ =
+            crate::reach::ForwardReach::new(crate::sim::QuadrotorDynamics::default(), 0.01, 0.0);
         let _ = crate::ctrl::Px4LikeController::default();
         let _ = crate::plan::GridAstar::default();
         let _ = crate::runtime::JitterModel::none();
