@@ -4,6 +4,13 @@
 //!   the row is the cold/warm wall-clock ratio.  The warm pass is
 //!   answered entirely from the content-addressed result cache (no
 //!   worker spawned), so this is the headline speedup of ISSUE 10.
+//! * `campaign/warm-golden-suite` — the 30-job golden-suite request at
+//!   pinned seeds (the request the repository benchmark's
+//!   `catalog-campaign` workload sends), cold against warm.  A warm
+//!   request borrows its registry entries and reuses their memoized
+//!   fingerprints, so it costs a name scan, a cache lookup and a record
+//!   encode per job; fingerprinting every job per request again would
+//!   cut this ratio about threefold.
 //! * `campaign/stolen-straggler` — a campaign with one wedged-slow
 //!   worker (sleeping before every job, heartbeats alive), run with work
 //!   stealing off and on; the row is the off/on wall-clock ratio, i.e.
@@ -24,6 +31,7 @@
 //! distribution, so this target drives its own loop (`harness = false`).
 
 use soter_bench::{gate_against_env_baseline, write_json, BenchEntry};
+use soter_scenarios::catalog;
 use soter_serve::daemon::{parse_report_stats, Daemon, ServeConfig};
 use soter_serve::worker::{ENV_SLOW_FLAG, ENV_SLOW_MS};
 use soter_serve::{worker_binary, CampaignRequest, ShardConfig, ShardCoordinator};
@@ -57,6 +65,48 @@ fn warm_repeat_speedup(seeds: usize, reps: usize) -> (f64, usize, usize) {
         (hits, lookups) = (h, l);
     }
     assert_eq!(hits, lookups, "warm repeat must be answered from cache");
+    (cold / warm.max(1e-9), hits, lookups)
+}
+
+/// Cold/warm ratio of the golden-suite request.  Cold is the median over
+/// `colds` fresh daemons (a cold request runs 30 simulations and spreads
+/// more than a warm one); warm is the fastest of `reps` repeats on the
+/// last daemon, each required to be answered entirely from cache.
+fn warm_golden_suite_speedup(colds: usize, reps: usize) -> (f64, usize, usize) {
+    let names: Vec<String> = catalog::golden_suite()
+        .into_iter()
+        .map(|s| s.name)
+        .collect();
+    let line = format!("CAMPAIGN golden scenarios={} shards=2", names.join(","));
+    let mut cold_times = Vec::new();
+    let mut daemon = None;
+    for _ in 0..colds.max(1) {
+        let fresh = Daemon::new(ServeConfig {
+            pool_capacity: 2,
+            ..ServeConfig::default()
+        });
+        let started = Instant::now();
+        let block = fresh.handle_request_line(&line);
+        cold_times.push(started.elapsed().as_secs_f64());
+        assert!(block.starts_with("REPORT "), "cold pass failed: {block}");
+        daemon = Some(fresh);
+    }
+    cold_times.sort_by(f64::total_cmp);
+    let cold = cold_times[cold_times.len() / 2];
+    let daemon = daemon.expect("at least one cold pass");
+    let mut warm = f64::INFINITY;
+    let (mut hits, mut lookups) = (0, 0);
+    for _ in 0..reps {
+        let started = Instant::now();
+        let block = daemon.handle_request_line(&line);
+        warm = warm.min(started.elapsed().as_secs_f64());
+        (hits, lookups, _) = parse_report_stats(&block).expect("warm stats");
+        assert_eq!(
+            (hits, lookups),
+            (names.len(), names.len()),
+            "warm must be all hits"
+        );
+    }
     (cold / warm.max(1e-9), hits, lookups)
 }
 
@@ -133,6 +183,18 @@ fn main() {
     println!("campaign/warm-repeat       {speedup:>10.1}x  ({hits}/{lookups} cache hits)");
     entries.push(BenchEntry::new(
         "campaign/warm-repeat",
+        speedup,
+        "x speedup",
+    ));
+
+    let (speedup, hits, lookups) = if quick {
+        warm_golden_suite_speedup(1, 50)
+    } else {
+        warm_golden_suite_speedup(3, 300)
+    };
+    println!("campaign/warm-golden-suite {speedup:>10.1}x  ({hits}/{lookups} cache hits)");
+    entries.push(BenchEntry::new(
+        "campaign/warm-golden-suite",
         speedup,
         "x speedup",
     ));

@@ -350,13 +350,34 @@ impl SeparationOracle {
             .and_then(topics::value_to_state)
     }
 
-    /// The peers' states, or `None` if any peer estimate is missing (the
-    /// conservative reading: an unobserved peer could be anywhere).
-    fn peer_states(&self, observed: &dyn TopicRead) -> Option<Vec<DroneState>> {
+    /// The peers' states in topic order, decoded one at a time; `None`
+    /// marks a missing estimate.
+    fn peer_states<'a>(
+        &'a self,
+        observed: &'a dyn TopicRead,
+    ) -> impl Iterator<Item = Option<DroneState>> + 'a {
         self.peer_topics
             .iter()
-            .map(|t| observed.get(t).and_then(topics::value_to_state))
-            .collect()
+            .map(move |t| observed.get(t).and_then(topics::value_to_state))
+    }
+
+    /// φ_sep now: every peer is observed and further than `r_sep` away.
+    fn peers_separated(&self, own: &DroneState, observed: &dyn TopicRead) -> bool {
+        self.peer_states(observed)
+            .all(|peer| peer.is_some_and(|p| self.peers.separated(own.position, p.position)))
+    }
+
+    /// [`PeerSeparation::may_violate_within`] over the observed peers, one
+    /// peer at a time.  A missing peer estimate counts as a possible
+    /// violation (the conservative reading: an unobserved peer could be
+    /// anywhere).
+    fn peers_may_violate(&self, own: &DroneState, observed: &dyn TopicRead, horizon: f64) -> bool {
+        if self.peer_topics.is_empty() {
+            return false;
+        }
+        let own_region = self.peers.own_region(own, horizon);
+        self.peer_states(observed)
+            .any(|peer| peer.is_none_or(|p| self.peers.may_violate_with(&own_region, &p, horizon)))
     }
 
     /// Re-keys the own position under the unscoped name the single-drone
@@ -367,25 +388,23 @@ impl SeparationOracle {
 }
 
 impl SafetyOracle for SeparationOracle {
+    // A missing own or peer estimate makes every query below answer
+    // conservatively: not safe, may fail.
+
     fn is_safe(&self, observed: &dyn TopicRead) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return false;
         };
-        self.inner.is_safe(&self.translated(observed))
-            && peers
-                .iter()
-                .all(|p| self.peers.separated(own.position, p.position))
+        self.inner.is_safe(&self.translated(observed)) && self.peers_separated(&own, observed)
     }
 
     fn is_safer(&self, observed: &dyn TopicRead) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return false;
         };
         let horizon = self.safer_factor * 2.0 * self.delta;
         self.inner.is_safer(&self.translated(observed))
-            && !self.peers.may_violate_within(&own, &peers, horizon)
+            && !self.peers_may_violate(&own, observed, horizon)
     }
 
     fn may_leave_safe_within(
@@ -393,15 +412,12 @@ impl SafetyOracle for SeparationOracle {
         observed: &dyn TopicRead,
         horizon: soter_core::time::Duration,
     ) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return true;
         };
         self.inner
             .may_leave_safe_within(&self.translated(observed), horizon)
-            || self
-                .peers
-                .may_violate_within(&own, &peers, horizon.as_secs_f64())
+            || self.peers_may_violate(&own, observed, horizon.as_secs_f64())
     }
 
     fn supports_command_checks(&self) -> bool {
@@ -414,8 +430,7 @@ impl SafetyOracle for SeparationOracle {
         command: &Value,
         horizon: soter_core::time::Duration,
     ) -> bool {
-        let (Some(own), Some(peers)) = (self.own_state(observed), self.peer_states(observed))
-        else {
+        let Some(own) = self.own_state(observed) else {
             return true;
         };
         // The peer conjunct stays worst-case: `may_violate_within` already
@@ -423,9 +438,7 @@ impl SafetyOracle for SeparationOracle {
         // own command cannot relax it without also predicting the peers'.
         self.inner
             .command_may_leave_safe(&self.translated(observed), command, horizon)
-            || self
-                .peers
-                .may_violate_within(&own, &peers, horizon.as_secs_f64())
+            || self.peers_may_violate(&own, observed, horizon.as_secs_f64())
     }
 
     fn project_command(
@@ -782,6 +795,73 @@ mod tests {
         assert!(oracle.is_safe(&observed));
         assert!(oracle.may_leave_safe_within(&observed, Duration::from_millis(500)));
         assert!(!oracle.is_safer(&observed));
+    }
+
+    /// The oracle's per-peer path answers exactly as the collected
+    /// `may_violate_within` (and its φ_sep conjunct as the collected
+    /// `separated` check) on random states, with a missing peer read
+    /// conservatively.
+    #[test]
+    fn per_peer_path_matches_the_collected_peer_check() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let reach = ForwardReach::new(soter_sim::dynamics::QuadrotorDynamics::default(), 0.01, 0.1);
+        let peer_topics: Vec<String> = (1..4).map(|i| format!("drone{i}/localPosition")).collect();
+        let oracle = SeparationOracle::new(
+            "drone0",
+            two_drone_config(Protection::Rta).base.mpr_oracle(),
+            peer_topics.clone(),
+            PeerSeparation::new(reach, 1.5),
+            1.5,
+            0.1,
+        );
+        let mut rng = SmallRng::seed_from_u64(7);
+        let random_state = |rng: &mut SmallRng| DroneState {
+            position: Vec3::new(
+                rng.random_range(0.0..20.0),
+                rng.random_range(0.0..20.0),
+                rng.random_range(2.0..8.0),
+            ),
+            velocity: Vec3::new(
+                rng.random_range(-8.0..8.0),
+                rng.random_range(-8.0..8.0),
+                rng.random_range(-2.0..2.0),
+            ),
+        };
+        let (mut flagged, mut cleared) = (0, 0);
+        for _ in 0..2000 {
+            let own = random_state(&mut rng);
+            let peers: Vec<DroneState> =
+                peer_topics.iter().map(|_| random_state(&mut rng)).collect();
+            let horizon = rng.random_range(0.05..1.5);
+            let mut observed = TopicMap::new();
+            for (topic, peer) in peer_topics.iter().zip(&peers) {
+                observed.insert(topic.as_str(), topics::state_to_value(peer));
+            }
+            let expected = oracle.peers().may_violate_within(&own, &peers, horizon);
+            assert_eq!(oracle.peers_may_violate(&own, &observed, horizon), expected);
+            let separated = peers
+                .iter()
+                .all(|p| oracle.peers().separated(own.position, p.position));
+            assert_eq!(oracle.peers_separated(&own, &observed), separated);
+            if expected {
+                flagged += 1;
+            } else {
+                cleared += 1;
+            }
+            // A missing peer is a possible violation and never separated.
+            let mut partial = TopicMap::new();
+            for (topic, peer) in peer_topics.iter().zip(&peers).skip(1) {
+                partial.insert(topic.as_str(), topics::state_to_value(peer));
+            }
+            assert!(oracle.peers_may_violate(&own, &partial, horizon));
+            assert!(!oracle.peers_separated(&own, &partial));
+        }
+        assert!(
+            flagged > 100 && cleared > 100,
+            "{flagged} flagged, {cleared} cleared"
+        );
     }
 
     #[test]

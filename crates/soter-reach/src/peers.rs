@@ -72,6 +72,20 @@ impl PeerSeparation {
             .inflate(self.separation_radius)
     }
 
+    /// The own state's forward occupancy over `horizon` (braking
+    /// included): the side of the per-peer check
+    /// ([`may_violate_with`](Self::may_violate_with)) shared by every peer.
+    pub fn own_region(&self, own: &DroneState, horizon: f64) -> Aabb {
+        self.reach.occupancy_directed(own, horizon, true)
+    }
+
+    /// One peer of [`may_violate_within`](Self::may_violate_within):
+    /// `true` when `own_region` (from [`own_region`](Self::own_region) at
+    /// the same horizon) intersects the peer's induced unsafe region.
+    pub fn may_violate_with(&self, own_region: &Aabb, peer: &DroneState, horizon: f64) -> bool {
+        own_region.intersects(&self.peer_region(peer, horizon))
+    }
+
     /// The paper's `ttf` check lifted to φ_sep: `true` when the own state's
     /// forward occupancy intersects any peer's induced unsafe region within
     /// `horizon` — i.e. the pair may violate separation before the next
@@ -80,10 +94,10 @@ impl PeerSeparation {
         if peers.is_empty() {
             return false;
         }
-        let own_occupancy = self.reach.occupancy_directed(own, horizon, true);
+        let own_region = self.own_region(own, horizon);
         peers
             .iter()
-            .any(|peer| own_occupancy.intersects(&self.peer_region(peer, horizon)))
+            .any(|peer| self.may_violate_with(&own_region, peer, horizon))
     }
 }
 

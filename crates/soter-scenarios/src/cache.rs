@@ -17,9 +17,9 @@
 //! * Editing any spec field — a workspace bound, the seed, the filter, a
 //!   jitter window — changes the hash, so stale entries are unreachable
 //!   rather than invalidated by bookkeeping.
-//! * Bumping [`ENGINE_VERSION`] (the releasing change: executor, physics
-//!   or record semantics changed behaviour) orphans every old entry at
-//!   once.
+//! * [`ENGINE_VERSION`] is a hash of the committed golden corpus, so the
+//!   change that re-blesses goldens (executor, physics or record semantics
+//!   changed behaviour) orphans every old entry at once.
 //! * The catalog is *not* consulted: a scenario hashed today and the same
 //!   scenario reconstructed from a request tomorrow produce the same key,
 //!   whether or not a catalog entry still points at them.  The `name`
@@ -50,12 +50,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// The engine-version salt folded into every fingerprint.  Bump it when a
-/// behaviour-affecting engine change (executor scheduling, plant physics,
-/// oracle semantics, record fields) makes previously-cached records stale
-/// for unchanged specs — the golden suite catches exactly these changes,
-/// so "the goldens needed re-blessing" is the signal to bump.
-pub const ENGINE_VERSION: u64 = 1;
+/// The engine-version salt folded into every fingerprint: a hash of the
+/// committed golden corpus (`tests/golden/*.golden`), computed by the
+/// crate's build script.  A behaviour-affecting engine change (executor
+/// scheduling, plant physics, oracle semantics, record fields) makes
+/// cached records stale for unchanged specs; the golden suite catches
+/// exactly these changes, and re-blessing it changes this salt, so every
+/// old entry is orphaned without a hand-bumped version.
+pub const ENGINE_VERSION: u64 = include!(concat!(env!("OUT_DIR"), "/engine_version.rs"));
 
 /// Content hash of one fully-resolved campaign cell (spec, seed, filter
 /// and engine salt).  Display renders the `{:#018x}` form used by the
@@ -290,18 +292,20 @@ impl ResultCache {
         self.lookup_if(fingerprint, |_| true)
     }
 
-    /// Looks up the record of campaign job `job` (whose fingerprint the
-    /// caller computed once and reuses for the insert on a miss).  An
-    /// entry whose record names another scenario or seed — a fingerprint
-    /// collision or a corrupted segment entry — counts as a miss, so the
-    /// job re-runs and its [`insert`](Self::insert) overwrites the entry.
+    /// Looks up the record of the campaign job named `name` at `seed`
+    /// (whose fingerprint the caller computed once and reuses for the
+    /// insert on a miss).  An entry whose record names another scenario or
+    /// seed — a fingerprint collision or a corrupted segment entry —
+    /// counts as a miss, so the job re-runs and its
+    /// [`insert`](Self::insert) overwrites the entry.
     pub fn lookup_job(
         &self,
         fingerprint: ScenarioFingerprint,
-        job: &Scenario,
+        name: &str,
+        seed: u64,
     ) -> Option<RunRecord> {
         self.lookup_if(fingerprint, |record| {
-            record.scenario == job.name && record.seed == job.seed
+            record.scenario == name && record.seed == seed
         })
     }
 
@@ -432,17 +436,18 @@ mod tests {
             );
         }
 
-        // An engine-salt bump orphans every entry.
+        // A salt change orphans every entry.
         assert_ne!(
             fingerprint_with_salt(&base, ENGINE_VERSION),
-            fingerprint_with_salt(&base, ENGINE_VERSION + 1)
+            fingerprint_with_salt(&base, ENGINE_VERSION ^ 1)
         );
         assert_eq!(fp, fingerprint_with_salt(&base, ENGINE_VERSION));
     }
 
-    /// Literals computed by the original `format!`-then-hash fingerprint:
-    /// the streamed hash must reproduce them bit for bit, or every on-disk
-    /// segment written before it would silently go cold.
+    /// Literals computed by the original `format!`-then-hash fingerprint
+    /// under salt 1: the streamed hash must reproduce them bit for bit.
+    /// Streamed bytes equal formatted bytes whatever the salt, so the
+    /// literals pin salt 1 rather than the corpus-derived [`ENGINE_VERSION`].
     #[test]
     fn fingerprints_match_pinned_literals() {
         let fig12b = catalog::find("fig12b-surveillance").expect("in the registry");
@@ -457,13 +462,27 @@ mod tests {
             (vm, 0x62c4_02a8_a8bc_8c12),
         ] {
             assert_eq!(
-                scenario_fingerprint(&scenario),
+                fingerprint_with_salt(&scenario, 1),
                 ScenarioFingerprint(pinned),
                 "{} seed {}",
                 scenario.name,
                 scenario.seed
             );
         }
+    }
+
+    /// The baked-in salt is the hash of the corpus as it is now: a stale
+    /// build (the corpus changed, the constant did not) fails here.
+    #[test]
+    fn engine_version_is_the_hash_of_the_golden_corpus() {
+        let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let hash = crate::salt::corpus_hash(&corpus).expect("the golden corpus hashes");
+        assert_eq!(ENGINE_VERSION, hash);
+        let empty = std::env::temp_dir().join(format!("soter-empty-corpus-{}", std::process::id()));
+        std::fs::create_dir_all(&empty).expect("create empty corpus");
+        assert!(crate::salt::corpus_hash(&empty).is_err(), "empty corpus");
+        assert!(crate::salt::corpus_hash(&empty.join("missing")).is_err());
+        let _ = std::fs::remove_dir_all(&empty);
     }
 
     #[test]
@@ -498,17 +517,28 @@ mod tests {
         {
             let cache = ResultCache::with_segment(16, &path).expect("create segment");
             cache.insert(fp, &record("other", job.seed));
-            assert_eq!(cache.lookup_job(fp, &job), None, "wrong name");
+            assert_eq!(
+                cache.lookup_job(fp, &job.name, job.seed),
+                None,
+                "wrong name"
+            );
             cache.insert(fp, &record(&job.name, job.seed + 1));
-            assert_eq!(cache.lookup_job(fp, &job), None, "wrong seed");
+            assert_eq!(
+                cache.lookup_job(fp, &job.name, job.seed),
+                None,
+                "wrong seed"
+            );
             assert_eq!((cache.hits(), cache.misses()), (0, 2));
             cache.insert(fp, &right);
-            assert_eq!(cache.lookup_job(fp, &job), Some(right.clone()));
+            assert_eq!(
+                cache.lookup_job(fp, &job.name, job.seed),
+                Some(right.clone())
+            );
             assert_eq!(cache.len(), 1);
         }
         let reborn = ResultCache::with_segment(16, &path).expect("reload segment");
         assert_eq!(
-            reborn.lookup_job(fp, &job),
+            reborn.lookup_job(fp, &job.name, job.seed),
             Some(right),
             "replay ends on the overwrite"
         );

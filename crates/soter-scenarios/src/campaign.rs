@@ -266,7 +266,7 @@ fn run_job(
         return RunRecord::from_outcome(&run_scenario_cached(job, cache));
     };
     let fingerprint = scenario_fingerprint(job);
-    if let Some(record) = rc.lookup_job(fingerprint, job) {
+    if let Some(record) = rc.lookup_job(fingerprint, &job.name, job.seed) {
         return record;
     }
     let record = RunRecord::from_outcome(&run_scenario_cached(job, cache));

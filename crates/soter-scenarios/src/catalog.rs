@@ -8,6 +8,7 @@
 //! golden-trace tests pin the digests of the suite returned by
 //! [`golden_suite`].
 
+use crate::cache::{scenario_fingerprint, ScenarioFingerprint};
 use crate::spec::{
     FleetLayout, FleetSpec, JitterSpec, MissionSpec, Scenario, TargetPolicySpec, WorkspaceSpec,
 };
@@ -435,13 +436,24 @@ pub fn serve_smoke() -> Scenario {
     })
 }
 
+/// The registry entries plus each entry's result-cache fingerprint at its
+/// pinned seed, memoized on first use.
+struct Registry {
+    scenarios: Vec<Scenario>,
+    fingerprints: Vec<OnceLock<ScenarioFingerprint>>,
+}
+
 /// The registry, built on first use and shared by every later call.
-fn registry_slice() -> &'static [Scenario] {
-    static REGISTRY: OnceLock<Vec<Scenario>> = OnceLock::new();
+fn registry_cell() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| {
         let mut scenarios = golden_suite();
         scenarios.push(serve_smoke());
-        scenarios
+        let fingerprints = scenarios.iter().map(|_| OnceLock::new()).collect();
+        Registry {
+            scenarios,
+            fingerprints,
+        }
     })
 }
 
@@ -451,9 +463,9 @@ fn registry_slice() -> &'static [Scenario] {
 /// `(scenario name, seed)` pairs and resolves them through [`find`], so
 /// only scenarios listed here can be sharded across processes.
 ///
-/// The registry is built once per process; this returns a copy of it.
-pub fn registry() -> Vec<Scenario> {
-    registry_slice().to_vec()
+/// The registry is built once per process and borrowed from then on.
+pub fn registry() -> &'static [Scenario] {
+    &registry_cell().scenarios
 }
 
 /// Resolves a catalog scenario by its unique name (see [`registry`]).
@@ -463,9 +475,66 @@ pub fn registry() -> Vec<Scenario> {
 /// returned scenario carries the catalog's pinned seed; re-seed it
 /// with [`Scenario::with_seed`] for campaign fan-out — that is exactly
 /// what a `soter-serve` shard worker does with each `(name, seed)` wire
-/// job, so coordinator-side and worker-side job expansion agree.
+/// job, so coordinator-side and worker-side job expansion agree.  Callers
+/// that only need to name, seed and fingerprint a job use [`job`], which
+/// borrows the entry instead.
 pub fn find(name: &str) -> Option<Scenario> {
-    registry_slice().iter().find(|s| s.name == name).cloned()
+    registry().iter().find(|s| s.name == name).cloned()
+}
+
+/// Resolves a catalog scenario by name as a [`CatalogJob`] at its pinned
+/// seed: a name scan, no clone, and the entry's fingerprint computed at
+/// most once per process.
+pub fn job(name: &str) -> Option<CatalogJob> {
+    let registry = registry_cell();
+    let index = registry.scenarios.iter().position(|s| s.name == name)?;
+    let entry = &registry.scenarios[index];
+    Some(CatalogJob {
+        entry,
+        seed: entry.seed,
+        fingerprint: *registry.fingerprints[index].get_or_init(|| scenario_fingerprint(entry)),
+    })
+}
+
+/// One job of a catalog campaign, resolved by reference: a registry
+/// entry, the seed to run it at, and the result-cache fingerprint of the
+/// entry re-seeded to that seed (always equal to
+/// `scenario_fingerprint(&find(job.name())?.with_seed(job.seed()))`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CatalogJob {
+    entry: &'static Scenario,
+    seed: u64,
+    fingerprint: ScenarioFingerprint,
+}
+
+impl CatalogJob {
+    /// The scenario name (the wire protocol's job key).
+    pub fn name(&self) -> &'static str {
+        &self.entry.name
+    }
+
+    /// The seed this job runs at.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The result-cache key of this job.
+    pub fn fingerprint(&self) -> ScenarioFingerprint {
+        self.fingerprint
+    }
+
+    /// The same entry at `seed`.  Keeping the seed keeps the fingerprint;
+    /// any other seed fingerprints the re-seeded entry afresh.
+    pub fn with_seed(self, seed: u64) -> CatalogJob {
+        if seed == self.seed {
+            return self;
+        }
+        CatalogJob {
+            seed,
+            fingerprint: scenario_fingerprint(&self.entry.clone().with_seed(seed)),
+            ..self
+        }
+    }
 }
 
 #[cfg(test)]
@@ -506,7 +575,7 @@ mod tests {
         let registry = registry();
         let names: BTreeSet<&str> = registry.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), registry.len(), "duplicate registry names");
-        for scenario in &registry {
+        for scenario in registry {
             assert_eq!(
                 find(&scenario.name).as_ref(),
                 Some(scenario),
@@ -528,6 +597,34 @@ mod tests {
         let mut expected = golden_suite();
         expected.push(serve_smoke());
         assert_eq!(registry(), expected);
+    }
+
+    #[test]
+    fn memoized_fingerprints_equal_fresh_ones() {
+        for entry in registry() {
+            let job = job(&entry.name).expect("every entry resolves as a job");
+            assert!(std::ptr::eq(job.name(), entry.name.as_str()), "borrowed");
+            assert_eq!(job.seed(), entry.seed);
+            assert_eq!(
+                job.fingerprint(),
+                scenario_fingerprint(&entry.clone()),
+                "{}",
+                entry.name
+            );
+        }
+        assert!(job("no-such-scenario").is_none());
+        let name = "fig12b-surveillance";
+        let pinned = job(name).unwrap();
+        for seed in [pinned.seed() + 1, 9_999] {
+            let reseeded = pinned.with_seed(seed);
+            assert_eq!(reseeded.seed(), seed);
+            assert_eq!(
+                reseeded.fingerprint(),
+                scenario_fingerprint(&find(name).unwrap().with_seed(seed))
+            );
+            assert_ne!(reseeded.fingerprint(), pinned.fingerprint());
+            assert_eq!(reseeded.with_seed(pinned.seed()), pinned);
+        }
     }
 
     #[test]

@@ -66,6 +66,8 @@ pub mod falsify;
 pub mod fleet;
 pub mod golden;
 pub mod runner;
+#[cfg(test)]
+mod salt;
 pub mod spec;
 
 pub use cache::{scenario_fingerprint, ResultCache, ScenarioFingerprint};

@@ -59,8 +59,8 @@ use crate::shard::{plan_shards_over, CampaignRequest};
 use crate::worker::ENV_HEARTBEAT_MS;
 use soter_plan::PlanEntry;
 use soter_scenarios::campaign::{CampaignReport, RunRecord};
-use soter_scenarios::spec::Scenario;
-use soter_scenarios::{scenario_fingerprint, ResultCache, ScenarioFingerprint};
+use soter_scenarios::catalog::CatalogJob;
+use soter_scenarios::ResultCache;
 use std::collections::{BTreeSet, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -382,17 +382,14 @@ impl ShardCoordinator {
         let mut stats = ServeStats::default();
         let mut slots: Vec<Option<RunRecord>> = vec![None; jobs.len()];
         // Result-cache prefill: answer what the cache already holds and
-        // dispatch only the misses.  Each job is fingerprinted once; the
+        // dispatch only the misses.  Each job carries its fingerprint; the
         // insert after the merge reuses it.
-        let fingerprints: Vec<ScenarioFingerprint> = match &self.config.result_cache {
-            Some(_) => jobs.iter().map(scenario_fingerprint).collect(),
-            None => Vec::new(),
-        };
         let missing: Vec<usize> = match &self.config.result_cache {
             Some(cache) => (0..jobs.len())
                 .filter(|&index| {
                     stats.cache_lookups += 1;
-                    match cache.lookup_job(fingerprints[index], &jobs[index]) {
+                    let job = &jobs[index];
+                    match cache.lookup_job(job.fingerprint(), job.name(), job.seed()) {
                         Some(record) => {
                             stats.cache_hits += 1;
                             slots[index] = Some(record);
@@ -479,7 +476,7 @@ impl ShardCoordinator {
         if let Some(cache) = &self.config.result_cache {
             for &index in &missing {
                 if let Some(record) = &slots[index] {
-                    cache.insert(fingerprints[index], record);
+                    cache.insert(jobs[index].fingerprint(), record);
                 }
             }
         }
@@ -516,7 +513,7 @@ enum Attempt {
 
 struct ShardSupervisor {
     shard_id: usize,
-    jobs: Arc<Vec<Scenario>>,
+    jobs: Arc<Vec<CatalogJob>>,
     config: ShardConfig,
     worker_bin: PathBuf,
     spawn_ordinal: Arc<AtomicUsize>,
@@ -589,8 +586,8 @@ impl ShardSupervisor {
                 .chain(outstanding.into_iter().map(|index| {
                     CoordMsg::Run {
                         index,
-                        seed: self.jobs[index].seed,
-                        scenario: self.jobs[index].name.clone(),
+                        seed: self.jobs[index].seed(),
+                        scenario: self.jobs[index].name().to_string(),
                     }
                     .to_line()
                 }))

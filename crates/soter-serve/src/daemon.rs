@@ -141,11 +141,12 @@ impl Daemon {
         shard_config.pool = Some(Arc::clone(&self.pool));
         shard_config.result_cache = self.result_cache.clone();
         shard_config.plan_store = Some(Arc::clone(&self.plan_store));
-        match ShardCoordinator::new(request.clone())
+        let shards = request.shards;
+        match ShardCoordinator::new(request)
             .with_config(shard_config)
             .run_detailed()
         {
-            Ok((report, stats)) => render_report(&id, &request, &report, stats),
+            Ok((report, stats)) => render_report(&id, shards, &report, stats),
             Err(e) => format!("ERRREPORT {id} {e}\n"),
         }
     }
@@ -288,18 +289,13 @@ pub fn parse_request(
 }
 
 /// Renders a merged report as one atomic response block.
-fn render_report(
-    id: &str,
-    request: &CampaignRequest,
-    report: &CampaignReport,
-    stats: ServeStats,
-) -> String {
+fn render_report(id: &str, shards: usize, report: &CampaignReport, stats: ServeStats) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "REPORT {id} runs={} shards={} cache={}/{} stolen={}",
         report.records.len(),
-        request.shards,
+        shards,
         stats.cache_hits,
         stats.cache_lookups,
         stats.stolen,
@@ -424,7 +420,6 @@ mod tests {
 
     #[test]
     fn reports_render_and_parse_round_trip() {
-        let request = CampaignRequest::new(["serve-smoke"]).with_seeds([7, 8]);
         let report = CampaignReport {
             records: vec![
                 RunRecord {
@@ -457,7 +452,7 @@ mod tests {
             workers: 1,
             wall_clock: 0.0,
         };
-        let block = render_report("abc", &request, &report, ServeStats::default());
+        let block = render_report("abc", 1, &report, ServeStats::default());
         let mut reader = std::io::BufReader::new(block.as_bytes());
         let read_back = read_response(&mut reader).unwrap();
         assert_eq!(read_back, block, "read_response captures the whole block");
@@ -468,7 +463,6 @@ mod tests {
 
     #[test]
     fn report_stats_tokens_round_trip_and_degrade_gracefully() {
-        let request = CampaignRequest::new(["serve-smoke"]);
         let report = CampaignReport {
             records: Vec::new(),
             workers: 0,
@@ -480,7 +474,7 @@ mod tests {
             stolen: 2,
             plan_entries: 0,
         };
-        let block = render_report("abc", &request, &report, stats);
+        let block = render_report("abc", 1, &report, stats);
         assert_eq!(parse_report_stats(&block), Some((4, 6, 2)));
         // Old-format headers and error blocks yield None, not a panic.
         assert_eq!(parse_report_stats("REPORT abc runs=0 shards=1\n"), None);

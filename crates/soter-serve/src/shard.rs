@@ -1,16 +1,16 @@
 //! Shard planning: splitting a scenario × seed matrix into per-process
 //! shards, and the [`CampaignRequest`] that names such a matrix.
 //!
-//! A request carries catalog scenario *names* (not scenario values): both
-//! the coordinator and every worker resolve names through
-//! [`soter_scenarios::catalog::find`], so job expansion is identical on
-//! both sides of the process boundary and a record can be merged purely by
-//! its matrix index.
+//! A request carries catalog scenario *names* (not scenario values): the
+//! coordinator resolves them by reference through
+//! [`soter_scenarios::catalog::job`] and every worker by value through
+//! [`soter_scenarios::catalog::find`], both over the same registry, so job
+//! expansion is identical on both sides of the process boundary and a
+//! record can be merged purely by its matrix index.
 
 use crate::error::ServeError;
 use soter_scenarios::campaign::Campaign;
-use soter_scenarios::catalog;
-use soter_scenarios::spec::Scenario;
+use soter_scenarios::catalog::{self, CatalogJob};
 
 /// A sharded-campaign request: catalog scenario names fanned out across a
 /// seed list, split into `shards` worker processes.
@@ -53,9 +53,22 @@ impl CampaignRequest {
     }
 
     /// Resolves every scenario name through the catalog and expands the
-    /// full job list in deterministic matrix order.
-    pub fn resolve_jobs(&self) -> Result<Vec<Scenario>, ServeError> {
-        Ok(self.in_process_campaign()?.jobs())
+    /// full job list in deterministic matrix order, by reference: each job
+    /// borrows its registry entry, and a job at the entry's pinned seed
+    /// reuses the entry's memoized fingerprint.  Only a `seeds=` override
+    /// fingerprints the re-seeded entry, once per job.
+    pub fn resolve_jobs(&self) -> Result<Vec<CatalogJob>, ServeError> {
+        let mut jobs = Vec::with_capacity(self.scenarios.len() * self.seeds.len().max(1));
+        for name in &self.scenarios {
+            let job =
+                catalog::job(name).ok_or_else(|| ServeError::UnknownScenario(name.clone()))?;
+            if self.seeds.is_empty() {
+                jobs.push(job);
+            } else {
+                jobs.extend(self.seeds.iter().map(|&seed| job.with_seed(seed)));
+            }
+        }
+        Ok(jobs)
     }
 
     /// The equivalent in-process campaign (what
@@ -114,6 +127,7 @@ pub fn plan_shards_over(indices: &[usize], shards: usize) -> ShardPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soter_scenarios::scenario_fingerprint;
 
     #[test]
     fn plans_cover_every_index_exactly_once_and_stay_balanced() {
@@ -149,11 +163,19 @@ mod tests {
             .with_shards(2);
         let jobs = request.resolve_jobs().unwrap();
         assert_eq!(jobs.len(), 6);
-        assert_eq!(jobs, request.in_process_campaign().unwrap().jobs());
-        assert_eq!(jobs[0].name, "serve-smoke");
-        assert_eq!(jobs[0].seed, 5);
-        assert_eq!(jobs[3].name, "planner-rta");
-        assert_eq!(jobs[3].seed, 5);
+        let scenarios = request.in_process_campaign().unwrap().jobs();
+        assert_eq!(scenarios.len(), jobs.len());
+        for (job, scenario) in jobs.iter().zip(&scenarios) {
+            assert_eq!(
+                (job.name(), job.seed()),
+                (scenario.name.as_str(), scenario.seed)
+            );
+            assert_eq!(job.fingerprint(), scenario_fingerprint(scenario));
+        }
+        assert_eq!(jobs[0].name(), "serve-smoke");
+        assert_eq!(jobs[0].seed(), 5);
+        assert_eq!(jobs[3].name(), "planner-rta");
+        assert_eq!(jobs[3].seed(), 5);
     }
 
     #[test]

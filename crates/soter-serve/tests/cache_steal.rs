@@ -110,6 +110,42 @@ fn warm_repeat_through_the_daemon_is_all_hits_and_byte_identical() {
     std::fs::write(&path, artifact).expect("write cache report");
 }
 
+/// One request mixing a cached name with an uncached one, fanned out over
+/// `seeds=` that include the cached entry's pinned seed: exactly the
+/// pinned-seed job hits, every record is byte-identical to the in-process
+/// campaign, and the repeat is all hits.
+#[test]
+fn a_mixed_fan_out_request_hits_only_what_is_cached_and_stays_byte_identical() {
+    let daemon = Daemon::new(ServeConfig {
+        shard: test_config(),
+        default_shards: 2,
+        pool_capacity: 2,
+        ..ServeConfig::default()
+    });
+    let pinned = catalog::find("planner-rta").expect("in the registry").seed;
+    let first = daemon.handle_request_line("CAMPAIGN first scenarios=planner-rta shards=1");
+    assert_eq!(parse_report_stats(&first), Some((0, 1, 0)), "{first}");
+
+    let other = pinned + 4;
+    let line = format!("CAMPAIGN mixed scenarios=serve-smoke,planner-rta seeds={pinned},{other}");
+    let in_process = CampaignRequest::new(["serve-smoke", "planner-rta"])
+        .with_seeds([pinned, other])
+        .in_process_campaign()
+        .unwrap()
+        .run();
+    for (pass, expected_hits) in [("cold", 1), ("repeat", 4)] {
+        let block = daemon.handle_request_line(&line);
+        let (hits, lookups, _) = parse_report_stats(&block).expect("stats");
+        assert_eq!((hits, lookups), (expected_hits, 4), "{pass}: {block}");
+        let (_, records) = parse_response(&block).expect("response parses");
+        assert_eq!(
+            report_bytes(&records),
+            report_bytes(&in_process.records),
+            "{pass} pass must match the in-process campaign"
+        );
+    }
+}
+
 /// A daemon restarted over the same on-disk cache segment starts warm:
 /// the repeat campaign is answered without spawning a single worker.
 #[test]
@@ -178,7 +214,10 @@ fn a_cached_record_for_another_job_is_a_miss_and_is_overwritten() {
         .run();
     assert_eq!(in_process.records, vec![golden.clone()]);
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
-    assert_eq!(cache.lookup_job(fingerprint, &job), Some(golden.clone()));
+    assert_eq!(
+        cache.lookup_job(fingerprint, &job.name, job.seed),
+        Some(golden.clone())
+    );
 
     let cache = poisoned();
     let (sharded, stats) = ShardCoordinator::new(CampaignRequest::new(["planner-rta"]))
@@ -190,7 +229,10 @@ fn a_cached_record_for_another_job_is_a_miss_and_is_overwritten() {
         .expect("the campaign re-runs the job");
     assert_eq!(sharded.records, vec![golden.clone()]);
     assert_eq!((stats.cache_hits, stats.cache_lookups), (0, 1));
-    assert_eq!(cache.lookup_job(fingerprint, &job), Some(golden));
+    assert_eq!(
+        cache.lookup_job(fingerprint, &job.name, job.seed),
+        Some(golden)
+    );
 }
 
 /// A wedged-slow straggler (alive, heartbeating, but sleeping before
