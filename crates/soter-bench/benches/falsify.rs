@@ -96,7 +96,6 @@ fn falsifier(workers: usize) -> Falsifier {
             neighbours: 4,
             workers,
             seed: 7,
-            ..FalsifierConfig::default()
         },
     )
 }

@@ -51,7 +51,7 @@
 //!   through a per-node table built on its first firing, and the interned
 //!   [`TopicName`] is cloned only when trace storage is on.
 
-use crate::schedule::{JitterSchedule, NodeId, ScheduleSampler};
+use crate::schedule::{JitterSchedule, Sampler};
 use crate::trace::{NameDigest, Trace, TraceEvent};
 use soter_core::composition::RtaSystem;
 use soter_core::invariant::InvariantMonitor;
@@ -253,7 +253,7 @@ pub struct Executor {
     now: Time,
     trace: Trace,
     monitors: Vec<InvariantMonitor>,
-    sampler: Box<dyn ScheduleSampler>,
+    sampler: Sampler,
     observers: Vec<Observer>,
     fired_steps: u64,
     /// Scratch: indices of the nodes firing at the current instant.
@@ -542,11 +542,9 @@ impl Executor {
     }
 
     fn reschedule(&mut self, idx: usize) {
-        let delay = self.sampler.delay(
-            NodeId(idx as u32),
-            self.compiled.nodes[idx].name.as_str(),
-            self.now,
-        );
+        let delay = self
+            .sampler
+            .delay(self.compiled.nodes[idx].name.as_str(), self.now);
         self.next_due[idx] = self.now + self.compiled.nodes[idx].period + delay;
     }
 

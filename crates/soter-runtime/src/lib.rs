@@ -14,11 +14,11 @@
 //! * [`jitter`] — the stochastic i.i.d. scheduling-jitter model that delays
 //!   node firings, used to reproduce the scheduling-starvation crashes
 //!   reported in the paper's stress campaign (Sec. V-D),
-//! * [`schedule`] — deterministic, per-node jitter *schedules* behind the
-//!   [`schedule::ScheduleSampler`] trait the executor consults per firing:
-//!   bursts, targeted node starvation (the paper's exact crash class),
-//!   phase-locked windows and exact replayable recordings, searched over by
-//!   the falsification engine in `soter-scenarios`,
+//! * [`schedule`] — deterministic, per-node jitter *schedules* whose
+//!   [`schedule::Sampler`] the executor consults per firing: bursts,
+//!   targeted node starvation (the paper's exact crash class) and
+//!   phase-locked windows, searched over by the falsification engine in
+//!   `soter-scenarios`,
 //! * [`explore`] — a bounded-asynchrony systematic-testing engine in the
 //!   style of the P/DRONA backend the paper builds on: it enumerates firing
 //!   orders of simultaneously enabled nodes and checks a safety predicate on
@@ -53,5 +53,5 @@ pub mod trace;
 pub use executor::{Executor, ExecutorConfig};
 pub use explore::{ExplorationReport, SystematicTester};
 pub use jitter::JitterModel;
-pub use schedule::{delta_slack, JitterSchedule, RecordedDelay, RecordedSchedule, ScheduleSampler};
+pub use schedule::{delta_slack, JitterSchedule};
 pub use trace::{Trace, TraceEvent, TraceHasher};

@@ -9,85 +9,23 @@
 //! *systematically generated* adverse timing, this module makes the whole
 //! schedule a first-class, deterministic value:
 //!
-//! * [`ScheduleSampler`] — the trait the executor consults for every
-//!   firing's delay (the hook that replaced the hardwired sampler),
 //! * [`JitterSchedule`] — a declarative, serialisable description of a
-//!   schedule: the ideal calendar, today's i.i.d. model, window-shaped
+//!   schedule: the ideal calendar, today's i.i.d. model and window-shaped
 //!   adversarial schedules ([`JitterSchedule::Burst`],
 //!   [`JitterSchedule::TargetedNode`], [`JitterSchedule::PhaseLocked`]),
-//!   and exact replayable recordings ([`JitterSchedule::Recorded`]),
+//! * [`Sampler`] — a schedule's per-run state, which the executor consults
+//!   for every firing's delay,
 //! * [`delta_slack`] — the per-firing delay tolerance implied by the
 //!   φ_safer hysteresis, used by the in-tolerance control campaigns.
 //!
-//! Adversarial schedules are *pure functions* of `(node, instant)` (or of
-//! the per-node firing index for recordings): the same schedule applied to
-//! the same system always produces the same run, which is what lets the
-//! falsification engine in `soter-scenarios` shrink a violating schedule
-//! to a minimal counterexample and pin it as a golden trace.
+//! Adversarial schedules are *pure functions* of `(node, instant)`: the
+//! same schedule applied to the same system always produces the same run,
+//! which is what lets the falsification engine in `soter-scenarios` shrink
+//! a violating schedule to a minimal counterexample and pin it as a golden
+//! trace.
 
 use crate::jitter::{JitterModel, JitterSampler};
 use soter_core::time::{Duration, Time};
-use std::collections::BTreeMap;
-
-/// Interned identity of a node within one executor run: a dense index that
-/// is stable for the lifetime of the run and maps 1:1 to the node's name.
-/// Samplers that keep per-node state can index a flat array by it instead
-/// of hashing names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub u32);
-
-impl NodeId {
-    /// The id as a `usize` index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// A source of per-firing scheduling delays, consulted by the executor
-/// every time a node is rescheduled.
-///
-/// `node`/`name` identify the node that just fired at `now` (`name` is
-/// resolved from the executor's interner, so taking it costs nothing); the
-/// returned duration is added to that node's next calendar entry (i.e. it
-/// delays the *next* firing dispatched from this instant).
-/// Implementations must be deterministic given their construction state —
-/// campaign records and golden traces rely on it — and must not allocate
-/// per call in steady state (the executor's zero-allocation hot path runs
-/// through here).
-pub trait ScheduleSampler: Send {
-    /// The delay to add to the node's next firing after it fired at `now`.
-    fn delay(&mut self, node: NodeId, name: &str, now: Time) -> Duration;
-}
-
-/// One entry of a [`RecordedSchedule`]: delay the `firing`-th firing
-/// (0-based, counted per node) of `node` by `delay`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedDelay {
-    /// Node name the delay applies to.
-    pub node: String,
-    /// Per-node firing index (0 = the delay applied when the node is
-    /// rescheduled for the first time).
-    pub firing: u64,
-    /// The delay applied to that firing.
-    pub delay: Duration,
-}
-
-/// An exact, replayable schedule: an explicit list of (node, firing index,
-/// delay) triples.  This is the fully shrunk form a falsification
-/// counterexample can be persisted in — no randomness, no windows, just
-/// the delays that matter.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RecordedSchedule {
-    /// The recorded delays, in any order (lookup is by node + firing).
-    pub delays: Vec<RecordedDelay>,
-}
-
-impl RecordedSchedule {
-    /// A recording from explicit triples.
-    pub fn new(delays: Vec<RecordedDelay>) -> Self {
-        RecordedSchedule { delays }
-    }
-}
 
 /// A declarative scheduling-jitter schedule.
 ///
@@ -144,8 +82,6 @@ pub enum JitterSchedule {
         /// Delay applied inside the per-cycle window.
         delay: Duration,
     },
-    /// An exact replayable recording (see [`RecordedSchedule`]).
-    Recorded(RecordedSchedule),
 }
 
 impl JitterSchedule {
@@ -175,7 +111,6 @@ impl JitterSchedule {
                 delay,
                 ..
             } => !period.is_zero() && !width.is_zero() && !delay.is_zero(),
-            JitterSchedule::Recorded(rec) => rec.delays.iter().any(|d| !d.delay.is_zero()),
         }
     }
 
@@ -211,53 +146,18 @@ impl JitterSchedule {
                     *delay
                 }
             }
-            JitterSchedule::Recorded(rec) => rec
-                .delays
-                .iter()
-                .map(|d| d.delay)
-                .max()
-                .unwrap_or(Duration::ZERO),
         }
     }
 
-    /// Builds the stateful sampler the executor consults per firing.
-    pub fn sampler(&self) -> Box<dyn ScheduleSampler> {
-        match self {
-            JitterSchedule::Ideal => Box::new(IdealSampler),
-            JitterSchedule::Iid(model) => Box::new(IidSampler(model.sampler())),
-            JitterSchedule::Burst {
-                start,
-                width,
-                delay,
-            } => Box::new(WindowSampler {
-                node: None,
-                start: *start,
-                width: *width,
-                delay: *delay,
-            }),
-            JitterSchedule::TargetedNode {
-                node,
-                start,
-                width,
-                delay,
-            } => Box::new(WindowSampler {
-                node: Some(node.clone()),
-                start: *start,
-                width: *width,
-                delay: *delay,
-            }),
-            JitterSchedule::PhaseLocked {
-                period,
-                offset,
-                width,
-                delay,
-            } => Box::new(PhaseLockedSampler {
-                period: *period,
-                offset: *offset,
-                width: *width,
-                delay: *delay,
-            }),
-            JitterSchedule::Recorded(rec) => Box::new(RecordedSampler::new(rec)),
+    /// Builds the per-run sampler the executor consults per firing.
+    pub fn sampler(&self) -> Sampler {
+        Sampler {
+            schedule: self.clone(),
+            iid: match self {
+                JitterSchedule::Iid(model) => *model,
+                _ => JitterModel::none(),
+            }
+            .sampler(),
         }
     }
 }
@@ -290,108 +190,55 @@ pub fn delta_slack(delta: Duration, safer_factor: f64) -> Duration {
     Duration::from_secs_f64((safer_factor - 1.0).max(0.0) * delta.as_secs_f64())
 }
 
-struct IdealSampler;
-
-impl ScheduleSampler for IdealSampler {
-    fn delay(&mut self, _node: NodeId, _name: &str, _now: Time) -> Duration {
-        Duration::ZERO
-    }
+/// The per-run state of a [`JitterSchedule`]: the schedule itself plus
+/// the delay stream of [`JitterSchedule::Iid`].  Deterministic given the
+/// schedule, and allocation-free per call (the executor's zero-allocation
+/// hot path runs through [`Sampler::delay`]).
+#[derive(Debug, Clone)]
+pub struct Sampler {
+    schedule: JitterSchedule,
+    /// The i.i.d. stream, advanced once per call in calendar order —
+    /// byte-identical to the executor's original hardwired sampler.  Other
+    /// schedules never draw from it.
+    iid: JitterSampler,
 }
 
-/// Node-agnostic i.i.d. delays — byte-identical to the pre-trait executor
-/// behaviour (one global stream advanced once per reschedule, in calendar
-/// order).
-struct IidSampler(JitterSampler);
-
-impl ScheduleSampler for IidSampler {
-    fn delay(&mut self, _node: NodeId, _name: &str, _now: Time) -> Duration {
-        self.0.sample()
-    }
-}
-
-/// `Burst` (node: None) and `TargetedNode` (node: Some) share this: a
-/// fixed delay inside one absolute time window.
-struct WindowSampler {
-    node: Option<String>,
-    start: Time,
-    width: Duration,
-    delay: Duration,
-}
-
-impl ScheduleSampler for WindowSampler {
-    fn delay(&mut self, _node: NodeId, name: &str, now: Time) -> Duration {
-        if let Some(target) = &self.node {
-            if target != name {
-                return Duration::ZERO;
+impl Sampler {
+    /// The delay to add to the next firing of the node `name`, which just
+    /// fired at `now` (it delays the next firing dispatched from this
+    /// instant).
+    pub fn delay(&mut self, name: &str, now: Time) -> Duration {
+        let in_window = |start: Time, width: Duration| now >= start && now < start + width;
+        match &self.schedule {
+            JitterSchedule::Ideal => Duration::ZERO,
+            JitterSchedule::Iid(_) => self.iid.sample(),
+            JitterSchedule::Burst {
+                start,
+                width,
+                delay,
+            } if in_window(*start, *width) => *delay,
+            JitterSchedule::TargetedNode {
+                node,
+                start,
+                width,
+                delay,
+            } if node == name && in_window(*start, *width) => *delay,
+            JitterSchedule::PhaseLocked {
+                period,
+                offset,
+                width,
+                delay,
+            } if !period.is_zero() => {
+                let phase = now.as_micros() % period.as_micros();
+                let from = offset.as_micros();
+                if phase >= from && phase < from + width.as_micros() {
+                    *delay
+                } else {
+                    Duration::ZERO
+                }
             }
+            _ => Duration::ZERO,
         }
-        if now >= self.start && now < self.start + self.width {
-            self.delay
-        } else {
-            Duration::ZERO
-        }
-    }
-}
-
-struct PhaseLockedSampler {
-    period: Duration,
-    offset: Duration,
-    width: Duration,
-    delay: Duration,
-}
-
-impl ScheduleSampler for PhaseLockedSampler {
-    fn delay(&mut self, _node: NodeId, _name: &str, now: Time) -> Duration {
-        if self.period.is_zero() {
-            return Duration::ZERO;
-        }
-        let phase = now.as_micros() % self.period.as_micros();
-        let from = self.offset.as_micros();
-        let to = from + self.width.as_micros();
-        if phase >= from && phase < to {
-            self.delay
-        } else {
-            Duration::ZERO
-        }
-    }
-}
-
-struct RecordedSampler {
-    /// Per node name, the recorded delays keyed by firing index.
-    delays: BTreeMap<String, BTreeMap<u64, Duration>>,
-    /// Per-node firing counters, indexed by the interned [`NodeId`] (grown
-    /// on first encounter, so steady-state calls allocate nothing).
-    firings: Vec<u64>,
-}
-
-impl RecordedSampler {
-    fn new(rec: &RecordedSchedule) -> Self {
-        let mut delays: BTreeMap<String, BTreeMap<u64, Duration>> = BTreeMap::new();
-        for d in &rec.delays {
-            delays
-                .entry(d.node.clone())
-                .or_default()
-                .insert(d.firing, d.delay);
-        }
-        RecordedSampler {
-            delays,
-            firings: Vec::new(),
-        }
-    }
-}
-
-impl ScheduleSampler for RecordedSampler {
-    fn delay(&mut self, node: NodeId, name: &str, _now: Time) -> Duration {
-        if node.index() >= self.firings.len() {
-            self.firings.resize(node.index() + 1, 0);
-        }
-        let firing = self.firings[node.index()];
-        self.firings[node.index()] += 1;
-        self.delays
-            .get(name)
-            .and_then(|per_firing| per_firing.get(&firing))
-            .copied()
-            .unwrap_or(Duration::ZERO)
     }
 }
 
@@ -404,10 +251,7 @@ mod tests {
         let mut s = JitterSchedule::Ideal.sampler();
         assert!(!JitterSchedule::Ideal.is_enabled());
         for t in 0..100 {
-            assert_eq!(
-                s.delay(NodeId(0), "any", Time::from_millis(t)),
-                Duration::ZERO
-            );
+            assert_eq!(s.delay("any", Time::from_millis(t)), Duration::ZERO);
         }
     }
 
@@ -419,7 +263,7 @@ mod tests {
         for t in 0..200 {
             assert_eq!(
                 legacy.sample(),
-                scheduled.delay(NodeId(0), "node", Time::from_millis(t)),
+                scheduled.delay("node", Time::from_millis(t)),
                 "the Iid schedule must reproduce the legacy delay stream"
             );
         }
@@ -433,22 +277,16 @@ mod tests {
             delay: Duration::from_millis(7),
         };
         let mut s = schedule.sampler();
+        assert_eq!(s.delay("a", Time::from_millis(99)), Duration::ZERO);
         assert_eq!(
-            s.delay(NodeId(0), "a", Time::from_millis(99)),
-            Duration::ZERO
-        );
-        assert_eq!(
-            s.delay(NodeId(0), "a", Time::from_millis(100)),
+            s.delay("a", Time::from_millis(100)),
             Duration::from_millis(7)
         );
         assert_eq!(
-            s.delay(NodeId(1), "b", Time::from_millis(149)),
+            s.delay("b", Time::from_millis(149)),
             Duration::from_millis(7)
         );
-        assert_eq!(
-            s.delay(NodeId(0), "a", Time::from_millis(150)),
-            Duration::ZERO
-        );
+        assert_eq!(s.delay("a", Time::from_millis(150)), Duration::ZERO);
         assert!(schedule.is_enabled());
         assert_eq!(schedule.max_delay(), Duration::from_millis(7));
     }
@@ -463,21 +301,12 @@ mod tests {
         };
         let mut s = schedule.sampler();
         assert_eq!(
-            s.delay(NodeId(0), "mpr_sc", Time::from_millis(5)),
+            s.delay("mpr_sc", Time::from_millis(5)),
             Duration::from_millis(400)
         );
-        assert_eq!(
-            s.delay(NodeId(1), "mpr_ac", Time::from_millis(5)),
-            Duration::ZERO
-        );
-        assert_eq!(
-            s.delay(NodeId(2), "plant", Time::from_millis(5)),
-            Duration::ZERO
-        );
-        assert_eq!(
-            s.delay(NodeId(0), "mpr_sc", Time::from_secs_f64(11.0)),
-            Duration::ZERO
-        );
+        assert_eq!(s.delay("mpr_ac", Time::from_millis(5)), Duration::ZERO);
+        assert_eq!(s.delay("plant", Time::from_millis(5)), Duration::ZERO);
+        assert_eq!(s.delay("mpr_sc", Time::from_secs_f64(11.0)), Duration::ZERO);
     }
 
     #[test]
@@ -491,59 +320,17 @@ mod tests {
         let mut s = schedule.sampler();
         for cycle in 0..5u64 {
             let base = cycle * 100;
+            assert_eq!(s.delay("n", Time::from_millis(base + 19)), Duration::ZERO);
             assert_eq!(
-                s.delay(NodeId(0), "n", Time::from_millis(base + 19)),
-                Duration::ZERO
-            );
-            assert_eq!(
-                s.delay(NodeId(0), "n", Time::from_millis(base + 20)),
+                s.delay("n", Time::from_millis(base + 20)),
                 Duration::from_millis(3)
             );
             assert_eq!(
-                s.delay(NodeId(0), "n", Time::from_millis(base + 29)),
+                s.delay("n", Time::from_millis(base + 29)),
                 Duration::from_millis(3)
             );
-            assert_eq!(
-                s.delay(NodeId(0), "n", Time::from_millis(base + 30)),
-                Duration::ZERO
-            );
+            assert_eq!(s.delay("n", Time::from_millis(base + 30)), Duration::ZERO);
         }
-    }
-
-    #[test]
-    fn recorded_schedule_replays_by_node_and_firing_index() {
-        let schedule = JitterSchedule::Recorded(RecordedSchedule::new(vec![
-            RecordedDelay {
-                node: "sc".into(),
-                firing: 1,
-                delay: Duration::from_millis(40),
-            },
-            RecordedDelay {
-                node: "ac".into(),
-                firing: 0,
-                delay: Duration::from_millis(5),
-            },
-        ]));
-        let mut s = schedule.sampler();
-        // sc firing 0: no entry; ac firing 0: 5 ms; sc firing 1: 40 ms.
-        assert_eq!(s.delay(NodeId(0), "sc", Time::ZERO), Duration::ZERO);
-        assert_eq!(
-            s.delay(NodeId(1), "ac", Time::ZERO),
-            Duration::from_millis(5)
-        );
-        assert_eq!(
-            s.delay(NodeId(0), "sc", Time::from_millis(10)),
-            Duration::from_millis(40)
-        );
-        assert_eq!(
-            s.delay(NodeId(0), "sc", Time::from_millis(20)),
-            Duration::ZERO
-        );
-        assert_eq!(
-            s.delay(NodeId(1), "ac", Time::from_millis(20)),
-            Duration::ZERO
-        );
-        assert_eq!(schedule.max_delay(), Duration::from_millis(40));
     }
 
     #[test]
@@ -566,16 +353,12 @@ mod tests {
                 width: Duration::from_millis(10),
                 delay: Duration::from_millis(10),
             },
-            JitterSchedule::Recorded(RecordedSchedule::default()),
         ] {
             assert!(!schedule.is_enabled(), "{schedule:?}");
             assert_eq!(schedule.max_delay(), Duration::ZERO, "{schedule:?}");
             let mut s = schedule.sampler();
             for t in 0..50 {
-                assert_eq!(
-                    s.delay(NodeId(0), "sc", Time::from_millis(t)),
-                    Duration::ZERO
-                );
+                assert_eq!(s.delay("sc", Time::from_millis(t)), Duration::ZERO);
             }
         }
     }

@@ -10,21 +10,13 @@
 //!
 //! 1. **Random restarts** — candidate schedules (targeted node starvation,
 //!    system-wide bursts, phase-locked windows) are drawn from a
-//!    [`ScheduleSpace`] and fanned out through the existing work-stealing
-//!    [`Campaign::stream`] engine,
+//!    [`ScheduleSpace`] and evaluated as one batch through the
+//!    work-stealing [`Campaign::run`],
 //! 2. **Local search** — while nothing violates, the search perturbs the
 //!    best candidate so far, scored lexicographically by
 //!    (φ_safe + φ_sep violations, Theorem 3.1 monitor violations, mode
 //!    switches): monitor violations are near-misses of the inductive
-//!    invariant and give the search a gradient long before a crash.  With
-//!    [`FalsifierConfig::gradient`] set, perturbation rounds instead probe
-//!    the incumbent with *deterministic* finite-difference moves over the
-//!    [`ScheduleSpace`] parameters (window start shifted by ±horizon/16,
-//!    width and delay halved and doubled) and adopt the best improving
-//!    probe; a flat sensitivity signal (every probe scores exactly the
-//!    incumbent) falls back to a fresh random restart.  Probe rounds
-//!    consume no falsifier RNG, so the random-restart stream is identical
-//!    in both modes,
+//!    invariant and give the search a signal long before a crash,
 //! 3. **Shrinking** — a violating schedule is minimised (narrower window,
 //!    smaller delay, burst narrowed to a single node) while it still
 //!    violates, and returned as a [`Counterexample`] that can be persisted
@@ -46,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use soter_core::dm::SwitchReason;
 use soter_core::time::{Duration, Time};
 use soter_plan::cache::PlanCache;
-use soter_runtime::schedule::{JitterSchedule, RecordedDelay, RecordedSchedule};
+use soter_runtime::schedule::JitterSchedule;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
@@ -116,12 +108,6 @@ pub struct FalsifierConfig {
     pub workers: usize,
     /// Falsifier RNG seed (candidate generation is deterministic per seed).
     pub seed: u64,
-    /// Replace RNG-driven local-search perturbation with deterministic
-    /// finite-difference probes of the incumbent (see [`SearchMove`]).
-    /// Restart rounds are unchanged and probe rounds consume no RNG, so a
-    /// search that violates during a restart round — like the pinned
-    /// `sc_starvation` counterexample — is byte-identical in both modes.
-    pub gradient: bool,
 }
 
 impl Default for FalsifierConfig {
@@ -132,7 +118,6 @@ impl Default for FalsifierConfig {
             neighbours: 4,
             workers: 4,
             seed: 0,
-            gradient: false,
         }
     }
 }
@@ -142,20 +127,9 @@ impl Default for FalsifierConfig {
 pub enum SearchMove {
     /// Random-restart round: no incumbent, `restarts` fresh candidates.
     Restart,
-    /// RNG-driven local-search round: `neighbours` perturbations of the
-    /// incumbent plus one fresh random candidate.
+    /// Local-search round: `neighbours` perturbations of the incumbent
+    /// plus one fresh random candidate.
     Neighbourhood,
-    /// Gradient probe round that adopted the best strictly-improving
-    /// probe as the new incumbent.
-    Ascent,
-    /// Gradient probe round where every probe scored *exactly* the
-    /// incumbent — the sensitivity signal is flat, so the incumbent is
-    /// dropped and the next round is a fresh random restart.
-    FlatRestart,
-    /// Gradient probe round where probes moved the score but none
-    /// improved on the incumbent (a local maximum) — also falls back to a
-    /// random restart.
-    LocalMax,
 }
 
 /// One search round's move with the schedule evaluations it spent.  The
@@ -198,8 +172,6 @@ pub struct Counterexample {
 pub struct FalsifyReport {
     /// Total schedule evaluations spent (search + shrinking).
     pub evaluations: usize,
-    /// Search rounds executed.
-    pub rounds: usize,
     /// The minimal counterexample, if one was found within budget.
     pub counterexample: Option<Counterexample>,
     /// The best (highest-scoring) non-shrunk candidate seen, for
@@ -216,7 +188,8 @@ impl FalsifyReport {
         let _ = writeln!(
             out,
             "falsify: {} evaluations over {} rounds",
-            self.evaluations, self.rounds
+            self.evaluations,
+            self.moves.len()
         );
         match &self.counterexample {
             Some(ce) => {
@@ -438,129 +411,6 @@ impl Falsifier {
         }
     }
 
-    /// Deterministic finite-difference probes of an incumbent, one
-    /// `ScheduleSpace` parameter perturbed per probe: window start (or
-    /// phase offset) shifted by ±horizon/16, width halved and doubled,
-    /// delay halved and doubled, each clamped to the space bounds.  The
-    /// probe list is a pure function of the incumbent — gradient rounds
-    /// consume no falsifier RNG, so the random-restart stream is
-    /// byte-identical whatever mixture of probe and restart rounds
-    /// precedes it.  Families without windowed parameters return no
-    /// probes (the caller falls back to a restart).
-    fn probes(&self, incumbent: &JitterSchedule) -> Vec<JitterSchedule> {
-        let horizon_us = (self.space.horizon * 1e6) as u64;
-        let step = (horizon_us / 16).max(1);
-        let clamp_delay = |us: u64| {
-            Duration::from_micros(us.clamp(
-                self.space.min_delay.as_micros(),
-                self.space.max_delay.as_micros(),
-            ))
-        };
-        let clamp_width =
-            |us: u64| Duration::from_micros(us.clamp(1, self.space.max_width.as_micros().max(1)));
-        let mut out = Vec::new();
-        match incumbent {
-            JitterSchedule::TargetedNode {
-                node,
-                start,
-                width,
-                delay,
-            } => {
-                let s = start.as_micros();
-                for s2 in [s.saturating_sub(step), (s + step).min(horizon_us)] {
-                    out.push(JitterSchedule::TargetedNode {
-                        node: node.clone(),
-                        start: Time::from_micros(s2),
-                        width: *width,
-                        delay: *delay,
-                    });
-                }
-                for w2 in [width.as_micros() / 2, width.as_micros().saturating_mul(2)] {
-                    out.push(JitterSchedule::TargetedNode {
-                        node: node.clone(),
-                        start: *start,
-                        width: clamp_width(w2),
-                        delay: *delay,
-                    });
-                }
-                for d2 in [delay.as_micros() / 2, delay.as_micros().saturating_mul(2)] {
-                    out.push(JitterSchedule::TargetedNode {
-                        node: node.clone(),
-                        start: *start,
-                        width: *width,
-                        delay: clamp_delay(d2),
-                    });
-                }
-            }
-            JitterSchedule::Burst {
-                start,
-                width,
-                delay,
-            } => {
-                let s = start.as_micros();
-                for s2 in [s.saturating_sub(step), (s + step).min(horizon_us)] {
-                    out.push(JitterSchedule::Burst {
-                        start: Time::from_micros(s2),
-                        width: *width,
-                        delay: *delay,
-                    });
-                }
-                for w2 in [width.as_micros() / 2, width.as_micros().saturating_mul(2)] {
-                    out.push(JitterSchedule::Burst {
-                        start: *start,
-                        width: clamp_width(w2),
-                        delay: *delay,
-                    });
-                }
-                for d2 in [delay.as_micros() / 2, delay.as_micros().saturating_mul(2)] {
-                    out.push(JitterSchedule::Burst {
-                        start: *start,
-                        width: *width,
-                        delay: clamp_delay(d2),
-                    });
-                }
-            }
-            JitterSchedule::PhaseLocked {
-                period,
-                offset,
-                width,
-                delay,
-            } => {
-                let phase_step = (period.as_micros() / 8).max(1);
-                let wrap = period.as_micros().max(1);
-                for o2 in [
-                    (offset.as_micros() + wrap - (phase_step % wrap)) % wrap,
-                    (offset.as_micros() + phase_step) % wrap,
-                ] {
-                    out.push(JitterSchedule::PhaseLocked {
-                        period: *period,
-                        offset: Duration::from_micros(o2),
-                        width: *width,
-                        delay: *delay,
-                    });
-                }
-                for w2 in [width.as_micros() / 2, width.as_micros().saturating_mul(2)] {
-                    out.push(JitterSchedule::PhaseLocked {
-                        period: *period,
-                        offset: *offset,
-                        width: clamp_width(w2.min(period.as_micros())),
-                        delay: *delay,
-                    });
-                }
-                for d2 in [delay.as_micros() / 2, delay.as_micros().saturating_mul(2)] {
-                    out.push(JitterSchedule::PhaseLocked {
-                        period: *period,
-                        offset: *offset,
-                        width: *width,
-                        delay: clamp_delay(d2),
-                    });
-                }
-            }
-            _ => {}
-        }
-        out
-    }
-
     /// The width/delay shrink ladder shared by every windowed family:
     /// aggressive first (halved) then gentler (3/4 trims), with narrowed
     /// windows re-anchored at the left edge, then the right.  `window`
@@ -686,38 +536,17 @@ impl Falsifier {
     pub fn run(&self) -> FalsifyReport {
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         let mut evaluations = 0usize;
-        let mut rounds = 0usize;
         let mut moves: Vec<SearchRound> = Vec::new();
-        // The incumbent drives local search and carries its score; the
-        // best-seen candidate is what the report diagnoses with.  Without
-        // gradient probing the incumbent only ever improves, so the two
-        // stay identical; gradient mode drops a flat or locally maximal
-        // incumbent (falling back to restart) while best-seen persists.
+        // The incumbent drives local search, carries its score and is the
+        // closest schedule the report diagnoses with.
         let mut incumbent: Option<(JitterSchedule, RunRecord, (usize, usize, usize))> = None;
-        let mut best_seen: Option<(JitterSchedule, RunRecord, (usize, usize, usize))> = None;
         while evaluations < self.config.budget {
-            rounds += 1;
-            let remaining = self.config.budget - evaluations;
             let mut action = SearchMove::Restart;
             let mut batch: Vec<JitterSchedule> = Vec::new();
             match &incumbent {
                 None => {
                     for _ in 0..self.config.restarts.max(1) {
                         batch.push(self.random_candidate(&mut rng));
-                    }
-                }
-                Some((schedule, _, _)) if self.config.gradient => {
-                    action = SearchMove::Ascent; // refined after scoring
-                    batch = self.probes(schedule);
-                    if batch.is_empty() {
-                        // Unprobeable incumbent family: fall back to a
-                        // restart round without spending evaluations.
-                        moves.push(SearchRound {
-                            action: SearchMove::FlatRestart,
-                            evaluations: 0,
-                        });
-                        incumbent = None;
-                        continue;
                     }
                 }
                 Some((schedule, _, _)) => {
@@ -729,23 +558,22 @@ impl Falsifier {
                     batch.push(self.random_candidate(&mut rng));
                 }
             }
-            batch.truncate(remaining);
+            batch.truncate(self.config.budget - evaluations);
             let records = self.evaluate(&batch);
             evaluations += records.len();
+            moves.push(SearchRound {
+                action,
+                evaluations: records.len(),
+            });
             // First violation in batch order wins (deterministic whatever
             // the worker schedule).
             if let Some(pos) = records.iter().position(violates) {
-                moves.push(SearchRound {
-                    action,
-                    evaluations: records.len(),
-                });
                 let found_after = evaluations;
                 let (schedule, record, shrink_steps) =
                     self.shrink(batch[pos].clone(), records[pos].clone(), &mut evaluations);
                 let switch_reasons = self.switch_reasons(&schedule);
                 return FalsifyReport {
                     evaluations,
-                    rounds,
                     counterexample: Some(Counterexample {
                         scenario: record.scenario.clone(),
                         seed: record.seed,
@@ -755,78 +583,21 @@ impl Falsifier {
                         shrink_steps,
                         switch_reasons,
                     }),
-                    best: best_seen.map(|(s, r, _)| (s, r)),
+                    best: incumbent.map(|(s, r, _)| (s, r)),
                     moves,
                 };
             }
-            if action == SearchMove::Ascent {
-                // Finite-difference step: adopt the first probe with the
-                // best strictly-improving score; otherwise the signal is
-                // flat (every probe scored exactly the incumbent) or the
-                // incumbent is a local maximum — drop it either way, so
-                // the next round restarts.
-                let inc_score = incumbent
-                    .as_ref()
-                    .map(|(_, _, s)| *s)
-                    .expect("probe rounds have an incumbent");
-                let mut adopt: Option<(usize, (usize, usize, usize))> = None;
-                let mut flat = true;
-                for (i, record) in records.iter().enumerate() {
-                    let s = score(record);
-                    if s != inc_score {
-                        flat = false;
-                    }
-                    if s > inc_score && adopt.map(|(_, b)| s > b).unwrap_or(true) {
-                        adopt = Some((i, s));
-                    }
-                }
-                match adopt {
-                    Some((i, s)) => {
-                        incumbent = Some((batch[i].clone(), records[i].clone(), s));
-                        moves.push(SearchRound {
-                            action: SearchMove::Ascent,
-                            evaluations: records.len(),
-                        });
-                    }
-                    None => {
-                        incumbent = None;
-                        moves.push(SearchRound {
-                            action: if flat {
-                                SearchMove::FlatRestart
-                            } else {
-                                SearchMove::LocalMax
-                            },
-                            evaluations: records.len(),
-                        });
-                    }
-                }
-                for (schedule, record) in batch.iter().zip(&records) {
-                    let s = score(record);
-                    if best_seen.as_ref().map(|(_, _, b)| s > *b).unwrap_or(true) {
-                        best_seen = Some((schedule.clone(), record.clone(), s));
-                    }
-                }
-                continue;
-            }
-            moves.push(SearchRound {
-                action,
-                evaluations: records.len(),
-            });
             for (schedule, record) in batch.iter().zip(&records) {
                 let s = score(record);
                 if incumbent.as_ref().map(|(_, _, b)| s > *b).unwrap_or(true) {
                     incumbent = Some((schedule.clone(), record.clone(), s));
                 }
-                if best_seen.as_ref().map(|(_, _, b)| s > *b).unwrap_or(true) {
-                    best_seen = Some((schedule.clone(), record.clone(), s));
-                }
             }
         }
         FalsifyReport {
             evaluations,
-            rounds,
             counterexample: None,
-            best: best_seen.map(|(s, r, _)| (s, r)),
+            best: incumbent.map(|(s, r, _)| (s, r)),
             moves,
         }
     }
@@ -927,24 +698,11 @@ pub fn schedule_to_text(schedule: &JitterSchedule) -> String {
             let _ = writeln!(out, "schedule_width_us = {}", width.as_micros());
             let _ = writeln!(out, "schedule_delay_us = {}", delay.as_micros());
         }
-        JitterSchedule::Recorded(rec) => {
-            let _ = writeln!(out, "schedule = recorded");
-            for (i, d) in rec.delays.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "schedule_recorded_{i} = {} {} {}",
-                    d.node,
-                    d.firing,
-                    d.delay.as_micros()
-                );
-            }
-        }
     }
     out
 }
 
-/// The fixed keys of [`schedule_to_text`]'s lines; a recorded schedule's
-/// `schedule_recorded_<i>` lines come on top.
+/// The keys of [`schedule_to_text`]'s lines.
 const SCHEDULE_KEYS: [&str; 10] = [
     "schedule",
     "schedule_probability",
@@ -962,31 +720,20 @@ const SCHEDULE_KEYS: [&str; 10] = [
 const SEARCH_KEYS: [&str; 3] = ["evaluations", "shrink_steps", "switch_reasons"];
 
 /// Reads a document over the keys of `sections`, laid end to end in the
-/// returned slots, plus `schedule_recorded_<i>` lines, which fill slot
-/// `i` after them.  As strict as [`read_fields`]; an index must be
-/// written canonically.
+/// returned slots, as strictly as [`read_fields`].
 fn read_document<'t>(
     text: &'t str,
     sections: &[&[&str]],
 ) -> Result<Vec<Option<&'t str>>, GoldenError> {
-    let fixed = sections.iter().map(|keys| keys.len()).sum::<usize>();
-    let mut values = vec![None; fixed + text.lines().count()];
-    read_fields(text, &mut values, |key| {
-        let mut known = sections.iter().flat_map(|keys| keys.iter());
-        known.position(|&k| k == key).or_else(|| {
-            let index = key.strip_prefix("schedule_recorded_")?;
-            let i = index.parse::<usize>().ok()?;
-            (i.to_string() == index).then(|| fixed.checked_add(i))?
-        })
-    })?;
+    let keys = sections.concat();
+    let mut values = vec![None; keys.len()];
+    read_fields(text, &mut values, |key| keys.iter().position(|&k| k == key))?;
     Ok(values)
 }
 
-/// Builds the schedule from the values read for [`SCHEDULE_KEYS`]
-/// followed by the recorded-delay slots.
+/// Builds the schedule from the values read for [`SCHEDULE_KEYS`].
 fn schedule_from_fields(values: &[Option<&str>]) -> Result<JitterSchedule, GoldenError> {
-    let (fixed, recorded) = values.split_at(SCHEDULE_KEYS.len());
-    let f = Fields(&SCHEDULE_KEYS, fixed);
+    let f = Fields(&SCHEDULE_KEYS, values);
     let us = |key: &str| f.parse::<u64>(key);
     Ok(match f.get("schedule")? {
         "ideal" => JitterSchedule::Ideal,
@@ -1012,25 +759,6 @@ fn schedule_from_fields(values: &[Option<&str>]) -> Result<JitterSchedule, Golde
             width: Duration::from_micros(us("schedule_width_us")?),
             delay: Duration::from_micros(us("schedule_delay_us")?),
         },
-        "recorded" => {
-            // Every index below the number of recorded lines must be there.
-            let count = recorded.iter().flatten().count();
-            let delays = recorded[..count].iter().enumerate().map(|(i, line)| {
-                let line = line.ok_or_else(|| {
-                    GoldenError::Parse(format!("missing field `schedule_recorded_{i}`"))
-                })?;
-                let bad = || GoldenError::Parse(format!("malformed recorded delay: {line}"));
-                match line.split_whitespace().collect::<Vec<_>>()[..] {
-                    [node, firing, delay] => Ok(RecordedDelay {
-                        node: node.to_string(),
-                        firing: firing.parse().map_err(|_| bad())?,
-                        delay: Duration::from_micros(delay.parse().map_err(|_| bad())?),
-                    }),
-                    _ => Err(bad()),
-                }
-            });
-            JitterSchedule::Recorded(RecordedSchedule::new(delays.collect::<Result<_, _>>()?))
-        }
         other => {
             return Err(GoldenError::Parse(format!(
                 "unknown schedule kind: {other}"
@@ -1156,18 +884,6 @@ mod tests {
                 width: Duration::from_millis(50),
                 delay: Duration::from_millis(200),
             },
-            JitterSchedule::Recorded(RecordedSchedule::new(vec![
-                RecordedDelay {
-                    node: "mpr_sc".into(),
-                    firing: 7,
-                    delay: Duration::from_millis(640),
-                },
-                RecordedDelay {
-                    node: "plant".into(),
-                    firing: 0,
-                    delay: Duration::from_millis(10),
-                },
-            ])),
         ] {
             let ce = sample_counterexample(schedule);
             let parsed = counterexample_from_text(&counterexample_to_text(&ce)).unwrap();
@@ -1185,10 +901,32 @@ mod tests {
             schedule_from_text("no schedule line at all\n"),
             Err(GoldenError::Parse(_))
         ));
-        assert!(matches!(
-            schedule_from_text("schedule = recorded\nschedule_recorded_0 = only-two fields\n"),
-            Err(GoldenError::Parse(_))
-        ));
+        // `recorded` is not a schedule kind and `schedule_recorded_<i>` is
+        // not a key, in a bare schedule and in a whole counterexample alike.
+        let rejects = |result: Result<(), GoldenError>, why: &str| match result {
+            Err(GoldenError::Parse(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("expected a parse error naming `{why}`, got {other:?}"),
+        };
+        let stray = "schedule_recorded_0 = mpr_sc 7 640000\n";
+        rejects(
+            schedule_from_text("schedule = recorded\n").map(drop),
+            "unknown schedule kind: recorded",
+        );
+        rejects(
+            schedule_from_text(&format!("schedule = ideal\n{stray}")).map(drop),
+            "unknown field `schedule_recorded_0`",
+        );
+        let ideal = counterexample_to_text(&sample_counterexample(JitterSchedule::Ideal));
+        assert!(counterexample_from_text(&ideal).is_ok());
+        rejects(
+            counterexample_from_text(&ideal.replace("schedule = ideal", "schedule = recorded"))
+                .map(drop),
+            "unknown schedule kind: recorded",
+        );
+        rejects(
+            counterexample_from_text(&format!("{ideal}{stray}")).map(drop),
+            "unknown field `schedule_recorded_0`",
+        );
     }
 
     #[test]

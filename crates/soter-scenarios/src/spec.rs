@@ -658,12 +658,11 @@ mod tests {
     /// mix, every pair of nearby seeds must produce distinct streams.
     #[test]
     fn adjacent_scenario_seeds_get_distinct_jitter_streams() {
-        use soter_runtime::schedule::NodeId;
         let spec = JitterSpec::iid(0.5, Duration::from_millis(100));
         let stream = |seed: u64| -> Vec<Duration> {
             let mut sampler = spec.model(seed).sampler();
             (0..32)
-                .map(|i| sampler.delay(NodeId(0), "node", soter_core::time::Time::from_millis(i)))
+                .map(|i| sampler.delay("node", soter_core::time::Time::from_millis(i)))
                 .collect()
         };
         for s in 0..16u64 {

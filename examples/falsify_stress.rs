@@ -49,7 +49,6 @@ fn main() {
             neighbours: 4,
             workers: 4,
             seed: 7,
-            ..FalsifierConfig::default()
         },
     );
     let report = falsifier.run();

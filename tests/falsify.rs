@@ -1,14 +1,17 @@
 //! Falsification-engine integration tests: the budgeted search finds and
 //! shrinks the pinned SC-starvation schedule byte-identically across
 //! reruns and worker counts, the in-tolerance space stays violation-free,
-//! and the CI falsify-smoke artifact is written.
+//! per-round evaluation counts pin that the incumbent is never
+//! re-evaluated, and the CI falsify-smoke artifact is written.
 
 use soter::core::time::Duration;
 use soter::scenarios::catalog;
 use soter::scenarios::falsify::{
-    counterexample_to_text, Falsifier, FalsifierConfig, ScheduleFamily, ScheduleSpace,
+    counterexample_to_text, Falsifier, FalsifierConfig, ScheduleFamily, ScheduleSpace, SearchMove,
+    SearchRound,
 };
 use soter::scenarios::golden::record_from_text;
+use soter::scenarios::spec::{MissionSpec, Scenario, WorkspaceSpec};
 
 /// The exact search that produced `catalog::sc_starvation_schedule()` —
 /// see the provenance note on that function.
@@ -30,7 +33,6 @@ fn sc_starvation_search(workers: usize) -> Falsifier {
             neighbours: 4,
             workers,
             seed: 7,
-            ..FalsifierConfig::default()
         },
     )
 }
@@ -53,6 +55,16 @@ fn falsifier_reproduces_the_pinned_sc_starvation_counterexample() {
     // The search found exactly the schedule pinned in the catalog...
     assert_eq!(ce.schedule, catalog::sc_starvation_schedule());
     assert!(ce.record.safety_violations >= 1, "{ce:?}");
+    // The pinned provenance: found in the first restart round, one
+    // accepted shrink.
+    assert_eq!((ce.evaluations, ce.shrink_steps), (8, 1));
+    assert_eq!(
+        parallel.moves,
+        vec![SearchRound {
+            action: SearchMove::Restart,
+            evaluations: 8,
+        }]
+    );
     // ...whose crashing run is pinned as a golden snapshot.
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -122,7 +134,6 @@ fn falsifier_verdict_against_asif_is_pinned() {
                 neighbours: 4,
                 workers,
                 seed: 7,
-                ..FalsifierConfig::default()
             },
         )
     };
@@ -185,7 +196,6 @@ fn in_tolerance_search_finds_no_counterexample() {
             neighbours: 4,
             workers: 4,
             seed: 5,
-            ..FalsifierConfig::default()
         },
     );
     let report = falsifier.run();
@@ -198,4 +208,64 @@ fn in_tolerance_search_finds_no_counterexample() {
     // The search still ranks candidates, so the report names the closest
     // schedule for diagnosis.
     assert!(report.best.is_some());
+}
+
+/// A schedule space targeting a node that does not exist in the system:
+/// candidate schedules never delay anything, so every evaluation produces
+/// the same record and no round can find a violation.
+fn flat_falsifier(budget: usize) -> Falsifier {
+    let scenario = Scenario::new("flat-sensitivity")
+        .with_workspace(WorkspaceSpec::CornerCutCourse)
+        .with_mission(MissionSpec::CircuitLap)
+        .with_horizon(10.0);
+    Falsifier::new(
+        scenario,
+        ScheduleSpace {
+            nodes: vec!["no_such_node".into()],
+            families: vec![ScheduleFamily::Targeted],
+            min_delay: Duration::from_millis(100),
+            max_delay: Duration::from_millis(1500),
+            max_width: Duration::from_secs(10),
+            horizon: 10.0,
+        },
+        FalsifierConfig {
+            budget,
+            restarts: 2,
+            neighbours: 4,
+            workers: 2,
+            seed: 3,
+        },
+    )
+}
+
+/// The incumbent-caching regression test: a local-search round evaluates
+/// exactly its candidates (`neighbours` perturbations + 1 fresh restart),
+/// never the incumbent again — the per-round counts in the move log must
+/// account for the whole budget with no extra incumbent re-evaluations.
+#[test]
+fn search_rounds_never_reevaluate_the_incumbent() {
+    // Restart (2) then neighbourhood rounds of exactly neighbours + 1 = 5
+    // evaluations until the budget runs out.
+    let report = flat_falsifier(17).run();
+    assert_eq!(report.evaluations, 17);
+    let counts: Vec<(SearchMove, usize)> = report
+        .moves
+        .iter()
+        .map(|r| (r.action, r.evaluations))
+        .collect();
+    assert_eq!(
+        counts,
+        vec![
+            (SearchMove::Restart, 2),
+            (SearchMove::Neighbourhood, 5),
+            (SearchMove::Neighbourhood, 5),
+            (SearchMove::Neighbourhood, 5),
+        ],
+        "each local-search round spends exactly neighbours + 1 evaluations"
+    );
+    let total: usize = report.moves.iter().map(|r| r.evaluations).sum();
+    assert_eq!(
+        total, report.evaluations,
+        "every evaluation is accounted to a round — none re-scores the incumbent"
+    );
 }

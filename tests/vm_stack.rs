@@ -62,7 +62,6 @@ fn falsifier_exercises_the_vm_stack() {
         neighbours: 2,
         workers: 2,
         seed: 3,
-        ..FalsifierConfig::default()
     };
     let report = Falsifier::new(scenario, ScheduleSpace::stress(20.0), config).run();
     assert!(report.evaluations > 0 && report.evaluations <= 8);
@@ -78,7 +77,6 @@ fn falsifier_exercises_the_vm_stack() {
         neighbours: 2,
         workers: 2,
         seed: 3,
-        ..FalsifierConfig::default()
     };
     let again = Falsifier::new(scenario, ScheduleSpace::stress(20.0), config).run();
     assert_eq!(report.evaluations, again.evaluations);

@@ -4,9 +4,8 @@
 //!
 //! A counting global allocator tallies every allocation in the process; the
 //! executor runs a warm-up phase (scratch buffers grow to their steady
-//! capacity, the schedule sampler materialises its per-node state) and then
-//! thousands of further firings during which the allocation counter must
-//! not move at all.
+//! capacity) and then thousands of further firings during which the
+//! allocation counter must not move at all.
 //!
 //! The file contains a single `#[test]` so no concurrent test can perturb
 //! the counter; trace *storage* is off (the streaming digest is still
@@ -166,7 +165,7 @@ fn run_steady_state(schedule: JitterSchedule) -> u64 {
     // switching logic every Δ yet never switches, so the measured window
     // contains no mode-switch bookkeeping growth.
     exec.publish("state", Value::Float(7.0));
-    // Warm-up: scratch buffers and sampler state reach steady capacity.
+    // Warm-up: scratch buffers reach steady capacity.
     for _ in 0..200 {
         exec.step_instant();
     }
@@ -189,8 +188,9 @@ fn run_steady_state(schedule: JitterSchedule) -> u64 {
 
 #[test]
 fn steady_state_step_instant_allocates_nothing() {
-    // Ideal calendar and a jittered one (the i.i.d. sampler draws from its
-    // RNG on every reschedule): both must be allocation-free per firing.
+    // The ideal calendar and every delaying schedule kind (the i.i.d.
+    // sampler draws from its RNG on every reschedule; the window kinds
+    // compare names and instants): all must be allocation-free per firing.
     for (label, schedule) in [
         ("ideal", JitterSchedule::Ideal),
         (
@@ -203,6 +203,23 @@ fn steady_state_step_instant_allocates_nothing() {
                 node: "sc".into(),
                 start: Time::from_secs_f64(1.0),
                 width: Duration::from_secs(3600),
+                delay: Duration::from_millis(3),
+            },
+        ),
+        (
+            "burst-window",
+            JitterSchedule::Burst {
+                start: Time::from_secs_f64(1.0),
+                width: Duration::from_secs(3600),
+                delay: Duration::from_millis(3),
+            },
+        ),
+        (
+            "phase-locked",
+            JitterSchedule::PhaseLocked {
+                period: Duration::from_millis(250),
+                offset: Duration::from_millis(50),
+                width: Duration::from_millis(100),
                 delay: Duration::from_millis(3),
             },
         ),
