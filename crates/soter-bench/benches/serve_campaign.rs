@@ -7,10 +7,12 @@
 //! * `campaign/warm-golden-suite` — the 30-job golden-suite request at
 //!   pinned seeds (the request the repository benchmark's
 //!   `catalog-campaign` workload sends), cold against warm.  A warm
-//!   request borrows its registry entries and reuses their memoized
-//!   fingerprints, so it costs a name scan, a cache lookup and a record
-//!   encode per job; fingerprinting every job per request again would
-//!   cut this ratio about threefold.
+//!   request borrows its registry entries, reuses their memoized
+//!   fingerprints and copies each record's frame text out of the cache
+//!   slot, so it costs a name scan, a cache lookup and a frame copy per
+//!   job.  Re-encoding every hit per request would cut this ratio about
+//!   twofold, and fingerprinting every job per request again about
+//!   threefold more.
 //! * `campaign/stolen-straggler` — a campaign with one wedged-slow
 //!   worker (sleeping before every job, heartbeats alive), run with work
 //!   stealing off and on; the row is the off/on wall-clock ratio, i.e.

@@ -30,17 +30,27 @@
 //!
 //! # Storage
 //!
-//! In memory the cache is a bounded LRU.  Optionally it is backed by an
-//! append-only on-disk **segment**: each insert appends one record frame
-//! under a `CACHE <fingerprint>` header ([`write_frame`]) in a single
+//! In memory the cache is a bounded LRU whose slots hold each record as an
+//! [`EncodedRecord`]: the record and its golden text, encoded once when the
+//! record enters the cache.  That text is what the segment writes and what
+//! every later response copies, so a hit never encodes.  A record that
+//! replaces a different one under the same fingerprint replaces its text
+//! too.
+//!
+//! Optionally the cache is backed by an append-only on-disk **segment**:
+//! each insert appends the slot's text as one record frame under a
+//! `CACHE <fingerprint>` header ([`write_encoded_frame`]) in a single
 //! write, and a daemon restart replays the segment through [`read_frame`]
-//! to start warm.  Loading is tolerant exactly where appending can tear: a
-//! torn final entry truncates the tail, and a corrupt entry in the middle
-//! (bit rot, a non-UTF-8 byte, hand edits) costs that entry only — it is
-//! skipped and loading resyncs at the next header.
+//! to start warm.  A replayed record is re-encoded from its parsed fields,
+//! never kept as the file's bytes: the strict reader accepts reordered
+//! keys, padded values and upper-case hex, which a cold run never sends.
+//! Loading is tolerant exactly where appending can tear: a torn final
+//! entry truncates the tail, and a corrupt entry in the middle (bit rot, a
+//! non-UTF-8 byte, hand edits) costs that entry only — it is skipped and
+//! loading resyncs at the next header.
 
 use crate::campaign::RunRecord;
-use crate::golden::{read_frame, write_frame, FrameError};
+use crate::golden::{read_frame, write_encoded_frame, EncodedRecord, FrameError};
 use crate::spec::Scenario;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -48,7 +58,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The engine-version salt folded into every fingerprint: a hash of the
 /// committed golden corpus (`tests/golden/*.golden`), computed by the
@@ -116,7 +126,7 @@ impl fmt::Write for Fnv1a {
 }
 
 struct Slot {
-    record: RunRecord,
+    entry: Arc<EncodedRecord>,
     stamp: u64,
 }
 
@@ -248,7 +258,7 @@ impl ResultCache {
             pos += consumed;
             match frame {
                 Ok(record) => {
-                    self.insert_in_memory(fingerprint, record);
+                    self.insert_in_memory(fingerprint, Arc::new(EncodedRecord::new(record)));
                     self.segment_stats.loaded += 1;
                 }
                 Err(FrameError::Corrupt(_)) => self.segment_stats.skipped += 1,
@@ -290,20 +300,22 @@ impl ResultCache {
     /// a hit also refreshes the entry's LRU position.
     pub fn lookup(&self, fingerprint: ScenarioFingerprint) -> Option<RunRecord> {
         self.lookup_if(fingerprint, |_| true)
+            .map(|entry| entry.record().clone())
     }
 
     /// Looks up the record of the campaign job named `name` at `seed`
     /// (whose fingerprint the caller computed once and reuses for the
-    /// insert on a miss).  An entry whose record names another scenario or
-    /// seed — a fingerprint collision or a corrupted segment entry —
-    /// counts as a miss, so the job re-runs and its
+    /// insert on a miss), sharing the slot's encoding: a hit clones an
+    /// `Arc`, not the record.  An entry whose record names another
+    /// scenario or seed — a fingerprint collision or a corrupted segment
+    /// entry — counts as a miss, so the job re-runs and its
     /// [`insert`](Self::insert) overwrites the entry.
     pub fn lookup_job(
         &self,
         fingerprint: ScenarioFingerprint,
         name: &str,
         seed: u64,
-    ) -> Option<RunRecord> {
+    ) -> Option<Arc<EncodedRecord>> {
         self.lookup_if(fingerprint, |record| {
             record.scenario == name && record.seed == seed
         })
@@ -313,14 +325,14 @@ impl ResultCache {
         &self,
         fingerprint: ScenarioFingerprint,
         accept: impl FnOnce(&RunRecord) -> bool,
-    ) -> Option<RunRecord> {
+    ) -> Option<Arc<EncodedRecord>> {
         let mut inner = self.inner.lock().expect("result cache lock");
         match inner.map.get(&fingerprint.0) {
-            Some(slot) if accept(&slot.record) => {
-                let record = slot.record.clone();
+            Some(slot) if accept(slot.entry.record()) => {
+                let entry = Arc::clone(&slot.entry);
                 inner.touch(fingerprint.0);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(record)
+                Some(entry)
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -335,7 +347,13 @@ impl ResultCache {
     /// entry; a different record overwrites the entry (and is appended, so
     /// a segment replay ends on the newer record too).
     pub fn insert(&self, fingerprint: ScenarioFingerprint, record: &RunRecord) {
-        if !self.insert_in_memory(fingerprint.0, record.clone()) {
+        self.insert_encoded(fingerprint, Arc::new(EncodedRecord::new(record.clone())));
+    }
+
+    /// [`insert`](Self::insert) of a record its caller already encoded:
+    /// the slot keeps this encoding and the segment append copies its text.
+    pub fn insert_encoded(&self, fingerprint: ScenarioFingerprint, entry: Arc<EncodedRecord>) {
+        if !self.insert_in_memory(fingerprint.0, Arc::clone(&entry)) {
             return;
         }
         let mut segment = self.segment.lock().expect("result cache segment lock");
@@ -343,27 +361,27 @@ impl ResultCache {
             // One write per entry: a crash mid-write tears at most the
             // final entry, which the loader truncates away.
             let mut framed = String::new();
-            write_frame(&mut framed, format_args!("CACHE {fingerprint}"), record);
+            write_encoded_frame(&mut framed, format_args!("CACHE {fingerprint}"), &entry);
             let _ = file.write_all(framed.as_bytes());
             let _ = file.flush();
         }
     }
 
     /// Returns whether the entry changed (a new fingerprint, or a record
-    /// replacing a different one).
-    fn insert_in_memory(&self, fingerprint: u64, record: RunRecord) -> bool {
+    /// replacing a different one, text and all).
+    fn insert_in_memory(&self, fingerprint: u64, entry: Arc<EncodedRecord>) -> bool {
         let mut inner = self.inner.lock().expect("result cache lock");
         if let Some(slot) = inner.map.get_mut(&fingerprint) {
-            let changed = slot.record != record;
+            let changed = slot.entry.record() != entry.record();
             if changed {
-                slot.record = record;
+                slot.entry = entry;
             }
             inner.touch(fingerprint);
             return changed;
         }
         inner.clock += 1;
         let stamp = inner.clock;
-        inner.map.insert(fingerprint, Slot { record, stamp });
+        inner.map.insert(fingerprint, Slot { entry, stamp });
         inner.order.insert(stamp, fingerprint);
         while inner.map.len() > self.capacity {
             let (&oldest, &victim) = inner
@@ -382,6 +400,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::catalog;
+    use crate::golden::record_to_text;
 
     fn record(name: &str, seed: u64) -> RunRecord {
         RunRecord {
@@ -531,17 +550,91 @@ mod tests {
             assert_eq!((cache.hits(), cache.misses()), (0, 2));
             cache.insert(fp, &right);
             assert_eq!(
-                cache.lookup_job(fp, &job.name, job.seed),
-                Some(right.clone())
+                cache.lookup_job(fp, &job.name, job.seed).as_deref(),
+                Some(&EncodedRecord::new(right.clone()))
             );
             assert_eq!(cache.len(), 1);
         }
         let reborn = ResultCache::with_segment(16, &path).expect("reload segment");
         assert_eq!(
-            reborn.lookup_job(fp, &job.name, job.seed),
-            Some(right),
+            reborn.lookup_job(fp, &job.name, job.seed).as_deref(),
+            Some(&EncodedRecord::new(right)),
             "replay ends on the overwrite"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Overwriting a fingerprint with a different record replaces the
+    /// slot's text with the new record's; the stale text is never served,
+    /// from memory or from a replayed segment.
+    #[test]
+    fn an_overwrite_serves_the_new_records_text() {
+        let dir = std::env::temp_dir().join(format!(
+            "soter-result-cache-{}-{}",
+            std::process::id(),
+            "overwrite"
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("results.seg");
+        let fp = ScenarioFingerprint(0x77);
+        let old = record("fig12b", 7);
+        let new = RunRecord {
+            digest: 0xfeed,
+            mode_switches: 9,
+            ..old.clone()
+        };
+        let text = |cache: &ResultCache| {
+            let entry = cache.lookup_job(fp, "fig12b", 7).expect("a hit");
+            entry.text().to_string()
+        };
+        {
+            let cache = ResultCache::with_segment(16, &path).expect("create segment");
+            cache.insert(fp, &old);
+            assert_eq!(text(&cache), record_to_text(&old));
+            cache.insert(fp, &new);
+            assert_eq!(text(&cache), record_to_text(&new));
+            assert_ne!(text(&cache), record_to_text(&old));
+        }
+        let reborn = ResultCache::with_segment(16, &path).expect("reload segment");
+        assert_eq!(text(&reborn), record_to_text(&new));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hand-written entry with reordered keys, padded values and
+    /// upper-case hex loads, and the slot holds the canonical text of
+    /// what it parses to, not the file's bytes.
+    #[test]
+    fn a_non_canonical_segment_entry_is_re_encoded_on_load() {
+        let dir = std::env::temp_dir().join(format!(
+            "soter-result-cache-{}-{}",
+            std::process::id(),
+            "canonical"
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("results.seg");
+        let canonical = record("fig12b", 7);
+        let mangled = "CACHE 0x00000000000000AB\n\
+                       time_in_sc_ms =   1500\n\
+                       seed = 7\n\
+                       digest = 0x00000000ABCD0007  \n\
+                       scenario =fig12b\n\
+                       completed = true\n\
+                       safety_violations = 0\n\
+                       separation_violations = 0\n\
+                       invariant_violations = 0\n\
+                       mode_switches = 2\n\
+                       targets_reached = 3\n\
+                       interventions = 1\n\
+                       END\n";
+        std::fs::create_dir_all(&dir).expect("create dir");
+        std::fs::write(&path, mangled).expect("write segment");
+        let cache = ResultCache::with_segment(16, &path).expect("load segment");
+        assert_eq!(cache.segment_stats().loaded, 1);
+        let entry = cache
+            .lookup_job(ScenarioFingerprint(0xab), "fig12b", 7)
+            .expect("the mangled entry loads");
+        assert_eq!(entry.record(), &canonical);
+        assert_eq!(entry.text(), record_to_text(&canonical));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -266,8 +266,8 @@ fn run_job(
         return RunRecord::from_outcome(&run_scenario_cached(job, cache));
     };
     let fingerprint = scenario_fingerprint(job);
-    if let Some(record) = rc.lookup_job(fingerprint, &job.name, job.seed) {
-        return record;
+    if let Some(entry) = rc.lookup_job(fingerprint, &job.name, job.seed) {
+        return entry.record().clone();
     }
     let record = RunRecord::from_outcome(&run_scenario_cached(job, cache));
     rc.insert(fingerprint, &record);

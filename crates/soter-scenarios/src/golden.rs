@@ -14,7 +14,8 @@
 //! text document the crate parses (goldens, counterexamples), and
 //! [`write_frame`] / [`read_frame`] are the `<header>\n<record text>END\n`
 //! frame shared by the shard wire protocol, daemon replies and the
-//! result-cache segment.
+//! result-cache segment.  An [`EncodedRecord`] carries a record's text so
+//! [`write_encoded_frame`] can write its frame again without re-encoding.
 
 use crate::campaign::RunRecord;
 use crate::runner::run_scenario;
@@ -170,6 +171,44 @@ impl<'t> Fields<'t, '_> {
 pub fn write_frame(out: &mut String, header: impl fmt::Display, record: &RunRecord) {
     let _ = writeln!(out, "{header}");
     write_record(out, record);
+    out.push_str(FRAME_END);
+}
+
+/// A record together with its golden text, encoded once.  Whoever holds
+/// one (the result cache, a campaign response) writes the record's frame
+/// by copying that text, so a record served many times is encoded only
+/// when it is made.  The text is always [`record_to_text`] of the record,
+/// never bytes read from elsewhere.
+#[derive(Debug, PartialEq, Eq)]
+pub struct EncodedRecord {
+    record: RunRecord,
+    text: String,
+}
+
+impl EncodedRecord {
+    /// Encodes `record`.
+    pub fn new(record: RunRecord) -> Self {
+        let text = record_to_text(&record);
+        EncodedRecord { record, text }
+    }
+
+    /// The record.
+    pub fn record(&self) -> &RunRecord {
+        &self.record
+    }
+
+    /// The record's golden text, as [`record_to_text`] writes it.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+}
+
+/// Appends one record frame around an already-encoded record: the same
+/// bytes as [`write_frame`] of [`EncodedRecord::record`], without encoding
+/// it again.
+pub fn write_encoded_frame(out: &mut String, header: impl fmt::Display, record: &EncodedRecord) {
+    let _ = writeln!(out, "{header}");
+    out.push_str(record.text());
     out.push_str(FRAME_END);
 }
 
@@ -382,6 +421,17 @@ mod tests {
             let (_, torn) = read_frame(&mut &body[..cut]);
             assert_eq!(torn, Err(FrameError::Torn), "cut at {cut} of {frame_len}");
         }
+    }
+
+    #[test]
+    fn encoded_frames_match_freshly_written_ones() {
+        let encoded = EncodedRecord::new(sample_record());
+        assert_eq!(encoded.text(), record_to_text(&sample_record()));
+        assert_eq!(encoded.record(), &sample_record());
+        let (mut fresh, mut copied) = (String::new(), String::new());
+        write_frame(&mut fresh, "REC 3", &sample_record());
+        write_encoded_frame(&mut copied, "REC 3", &encoded);
+        assert_eq!(copied, fresh);
     }
 
     /// A duplicated key parses to *something* only by picking one of the

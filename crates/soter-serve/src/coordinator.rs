@@ -47,7 +47,10 @@
 //! With a [`ResultCache`] configured, the coordinator answers whatever
 //! the cache already holds before any worker is spawned, shards only the
 //! misses ([`plan_shards_over`]), and feeds every fresh record back into
-//! the cache after the merge.  Worker-discovered planner-cache entries
+//! the cache after the merge.  Records are merged as [`EncodedRecord`]s:
+//! a hit shares the cache slot's encoding and a fresh record is encoded
+//! once as it is merged, so the daemon writes every response frame by
+//! copying text.  Worker-discovered planner-cache entries
 //! (`PLAN` frames) are merged into a [`PlanStore`] and pre-seeded into
 //! every subsequently spawned worker — including re-issues of the same
 //! shard, so a crashed worker's replacement replans nothing its
@@ -60,6 +63,7 @@ use crate::worker::ENV_HEARTBEAT_MS;
 use soter_plan::PlanEntry;
 use soter_scenarios::campaign::{CampaignReport, RunRecord};
 use soter_scenarios::catalog::CatalogJob;
+use soter_scenarios::golden::EncodedRecord;
 use soter_scenarios::ResultCache;
 use std::collections::{BTreeSet, HashSet};
 use std::io::{BufRead, BufReader, Write};
@@ -378,9 +382,25 @@ impl ShardCoordinator {
     /// [`run`](Self::run), but also reporting cache/steal statistics.
     pub fn run_detailed(&self) -> Result<(CampaignReport, ServeStats), ServeError> {
         let started = Instant::now();
+        let merged = self.run_encoded()?;
+        let report = CampaignReport {
+            records: merged
+                .records
+                .iter()
+                .map(|entry| entry.record().clone())
+                .collect(),
+            workers: merged.workers,
+            wall_clock: started.elapsed().as_secs_f64(),
+        };
+        Ok((report, merged.stats))
+    }
+
+    /// The campaign pipeline behind [`run_detailed`](Self::run_detailed)
+    /// and the daemon: every record in matrix order, each encoded once.
+    pub(crate) fn run_encoded(&self) -> Result<Merged, ServeError> {
         let jobs = Arc::new(self.request.resolve_jobs()?);
         let mut stats = ServeStats::default();
-        let mut slots: Vec<Option<RunRecord>> = vec![None; jobs.len()];
+        let mut slots: Vec<Option<Arc<EncodedRecord>>> = vec![None; jobs.len()];
         // Result-cache prefill: answer what the cache already holds and
         // dispatch only the misses.  Each job carries its fingerprint; the
         // insert after the merge reuses it.
@@ -390,9 +410,9 @@ impl ShardCoordinator {
                     stats.cache_lookups += 1;
                     let job = &jobs[index];
                     match cache.lookup_job(job.fingerprint(), job.name(), job.seed()) {
-                        Some(record) => {
+                        Some(entry) => {
                             stats.cache_hits += 1;
-                            slots[index] = Some(record);
+                            slots[index] = Some(entry);
                             false
                         }
                         None => true,
@@ -405,14 +425,11 @@ impl ShardCoordinator {
         if plan.shards.is_empty() {
             // Nothing to dispatch: the request was empty, or every slot
             // came out of the cache.
-            return Ok((
-                CampaignReport {
-                    records: slots.into_iter().flatten().collect(),
-                    workers: 0,
-                    wall_clock: started.elapsed().as_secs_f64(),
-                },
+            return Ok(Merged {
+                records: slots.into_iter().flatten().collect(),
+                workers: 0,
                 stats,
-            ));
+            });
         }
         let worker_bin = match &self.config.worker_bin {
             Some(path) => path.clone(),
@@ -443,12 +460,13 @@ impl ShardCoordinator {
             })
             .collect();
         drop(rec_tx);
-        // Merge as records stream in.  `slots` is keyed by matrix index;
-        // the `is_none` guard makes the merge idempotent end-to-end even
-        // if the ledger-level dedup ever let a duplicate through.
+        // Merge as records stream in, encoding each once.  `slots` is
+        // keyed by matrix index; the `is_none` guard makes the merge
+        // idempotent end-to-end even if the ledger-level dedup ever let a
+        // duplicate through.
         for (index, record) in rec_rx {
             if index < slots.len() && slots[index].is_none() {
-                slots[index] = Some(record);
+                slots[index] = Some(Arc::new(EncodedRecord::new(record)));
             }
         }
         let mut first_error = None;
@@ -475,22 +493,28 @@ impl ShardCoordinator {
         // answered without spawning anything.
         if let Some(cache) = &self.config.result_cache {
             for &index in &missing {
-                if let Some(record) = &slots[index] {
-                    cache.insert(jobs[index].fingerprint(), record);
+                if let Some(entry) = &slots[index] {
+                    cache.insert_encoded(jobs[index].fingerprint(), Arc::clone(entry));
                 }
             }
         }
         stats.stolen = ledger.stolen.load(Ordering::Relaxed);
         stats.plan_entries = plan_store.len().saturating_sub(plan_base);
-        Ok((
-            CampaignReport {
-                records: slots.into_iter().map(Option::unwrap).collect(),
-                workers: plan.shards.len(),
-                wall_clock: started.elapsed().as_secs_f64(),
-            },
+        Ok(Merged {
+            records: slots.into_iter().map(Option::unwrap).collect(),
+            workers: plan.shards.len(),
             stats,
-        ))
+        })
     }
+}
+
+/// A merged campaign as [`ShardCoordinator::run_encoded`] returns it.
+pub(crate) struct Merged {
+    /// Every record in matrix order.
+    pub(crate) records: Vec<Arc<EncodedRecord>>,
+    /// Shards that ran workers (0 when every record was a cache hit).
+    pub(crate) workers: usize,
+    pub(crate) stats: ServeStats,
 }
 
 /// Events a reader thread forwards from a worker's stdout.

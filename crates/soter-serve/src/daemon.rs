@@ -21,8 +21,11 @@
 //! ```
 //!
 //! or, on failure, the single line `ERRREPORT <id> <message>`.  The record
-//! frames are the worker protocol's, written by [`write_frame`] and read
-//! back by [`read_frame`], so the same strict parser validates both hops.
+//! frames are the worker protocol's, read back by [`read_frame`], so the
+//! same strict parser validates both hops.  They are written by
+//! [`write_encoded_frame`] from each record's cached encoding (see
+//! [`EncodedRecord`]): the bytes [`write_frame`](soter_scenarios::golden::write_frame)
+//! would write, with no per-response encode.
 //! A request line that is not UTF-8 gets `ERRREPORT ? …` like any other
 //! malformed request, and the connection keeps serving.
 //!
@@ -43,14 +46,15 @@
 use crate::coordinator::{PlanStore, ServeStats, ShardConfig, ShardCoordinator, WorkerPool};
 use crate::error::ServeError;
 use crate::shard::CampaignRequest;
-use soter_scenarios::campaign::{CampaignReport, RunRecord};
-use soter_scenarios::golden::{read_frame, write_frame};
+use soter_scenarios::campaign::RunRecord;
+use soter_scenarios::golden::{read_frame, write_encoded_frame, EncodedRecord};
 use soter_scenarios::ResultCache;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Daemon configuration.
@@ -144,9 +148,9 @@ impl Daemon {
         let shards = request.shards;
         match ShardCoordinator::new(request)
             .with_config(shard_config)
-            .run_detailed()
+            .run_encoded()
         {
-            Ok((report, stats)) => render_report(&id, shards, &report, stats),
+            Ok(merged) => render_report(&id, shards, &merged.records, merged.stats),
             Err(e) => format!("ERRREPORT {id} {e}\n"),
         }
     }
@@ -154,7 +158,9 @@ impl Daemon {
     /// Serves requests from `input`, writing responses to `output`, until
     /// end-of-stream.  Each campaign runs on its own thread; response
     /// blocks are written under a lock so concurrent campaigns never
-    /// interleave their frames.
+    /// interleave their frames.  Finished campaign threads are joined as
+    /// new requests arrive, so a long-lived client holds only its
+    /// in-flight campaigns' threads.
     pub fn serve<R, W>(&self, mut input: R, output: W)
     where
         R: BufRead,
@@ -170,6 +176,7 @@ impl Daemon {
             }
             let daemon = self.clone();
             let output = Arc::clone(&output);
+            reap_finished(&mut in_flight);
             in_flight.push(std::thread::spawn(move || {
                 let response = match request {
                     Ok(text) => daemon.handle_request_line(&text),
@@ -187,7 +194,8 @@ impl Daemon {
 
     /// Serves requests on a unix socket at `path` until `stop` is set
     /// (checked between accepted connections).  Each connection gets its
-    /// own thread; campaigns still share the daemon's worker pool.
+    /// own thread, joined once a later connection finds it finished;
+    /// campaigns still share the daemon's worker pool.
     #[cfg(unix)]
     pub fn serve_unix_until(&self, path: &Path, stop: Arc<AtomicBool>) -> std::io::Result<()> {
         use std::os::unix::net::UnixListener;
@@ -201,6 +209,7 @@ impl Daemon {
             match listener.accept() {
                 Ok((stream, _addr)) => {
                     let daemon = self.clone();
+                    reap_finished(&mut clients);
                     clients.push(std::thread::spawn(move || {
                         let Ok(writer) = stream.try_clone() else {
                             return;
@@ -219,6 +228,20 @@ impl Daemon {
         }
         let _ = std::fs::remove_file(path);
         Ok(())
+    }
+}
+
+/// Joins and removes every handle whose thread has finished, keeping the
+/// running ones: without it a long-lived serving loop would keep one
+/// finished, unjoined thread per request it ever answered.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    let mut index = 0;
+    while index < handles.len() {
+        if handles[index].is_finished() {
+            let _ = handles.swap_remove(index).join();
+        } else {
+            index += 1;
+        }
     }
 }
 
@@ -288,20 +311,28 @@ pub fn parse_request(
     ))
 }
 
-/// Renders a merged report as one atomic response block.
-fn render_report(id: &str, shards: usize, report: &CampaignReport, stats: ServeStats) -> String {
-    let mut out = String::new();
+/// Renders merged records as one atomic response block, copying each
+/// record's cached encoding into its frame.
+fn render_report(
+    id: &str,
+    shards: usize,
+    records: &[Arc<EncodedRecord>],
+    stats: ServeStats,
+) -> String {
+    // Header and trailer, plus per frame a `REC <index>` line and `END`.
+    let frames: usize = records.iter().map(|entry| entry.text().len() + 16).sum();
+    let mut out = String::with_capacity(frames + 2 * id.len() + 96);
     let _ = writeln!(
         out,
         "REPORT {id} runs={} shards={} cache={}/{} stolen={}",
-        report.records.len(),
+        records.len(),
         shards,
         stats.cache_hits,
         stats.cache_lookups,
         stats.stolen,
     );
-    for (index, record) in report.records.iter().enumerate() {
-        write_frame(&mut out, format_args!("REC {index}"), record);
+    for (index, entry) in records.iter().enumerate() {
+        write_encoded_frame(&mut out, format_args!("REC {index}"), entry);
     }
     let _ = writeln!(out, "ENDREPORT {id}");
     out
@@ -420,61 +451,97 @@ mod tests {
 
     #[test]
     fn reports_render_and_parse_round_trip() {
-        let report = CampaignReport {
-            records: vec![
-                RunRecord {
-                    scenario: "serve-smoke".into(),
-                    seed: 7,
-                    digest: 1,
-                    safety_violations: 0,
-                    separation_violations: 0,
-                    invariant_violations: 0,
-                    mode_switches: 1,
-                    targets_reached: 2,
-                    completed: true,
-                    interventions: 1,
-                    time_in_sc_ms: 750,
-                },
-                RunRecord {
-                    scenario: "serve-smoke".into(),
-                    seed: 8,
-                    digest: 2,
-                    safety_violations: 0,
-                    separation_violations: 0,
-                    invariant_violations: 0,
-                    mode_switches: 1,
-                    targets_reached: 2,
-                    completed: true,
-                    interventions: 1,
-                    time_in_sc_ms: 750,
-                },
-            ],
-            workers: 1,
-            wall_clock: 0.0,
-        };
-        let block = render_report("abc", 1, &report, ServeStats::default());
+        let records = vec![
+            RunRecord {
+                scenario: "serve-smoke".into(),
+                seed: 7,
+                digest: 1,
+                safety_violations: 0,
+                separation_violations: 0,
+                invariant_violations: 0,
+                mode_switches: 1,
+                targets_reached: 2,
+                completed: true,
+                interventions: 1,
+                time_in_sc_ms: 750,
+            },
+            RunRecord {
+                scenario: "serve-smoke".into(),
+                seed: 8,
+                digest: 2,
+                safety_violations: 0,
+                separation_violations: 0,
+                invariant_violations: 0,
+                mode_switches: 1,
+                targets_reached: 2,
+                completed: true,
+                interventions: 1,
+                time_in_sc_ms: 750,
+            },
+        ];
+        let encoded: Vec<_> = records
+            .iter()
+            .map(|record| Arc::new(EncodedRecord::new(record.clone())))
+            .collect();
+        let block = render_report("abc", 1, &encoded, ServeStats::default());
         let mut reader = std::io::BufReader::new(block.as_bytes());
         let read_back = read_response(&mut reader).unwrap();
         assert_eq!(read_back, block, "read_response captures the whole block");
-        let (id, records) = parse_response(&block).unwrap();
+        let (id, read) = parse_response(&block).unwrap();
         assert_eq!(id, "abc");
-        assert_eq!(records, report.records);
+        assert_eq!(read, records);
+    }
+
+    /// The block rendered from cached encodings is byte-for-byte the one
+    /// a fresh `write_frame` per record renders, header and `ENDREPORT`
+    /// included, for the whole golden suite as the cache serves it.
+    #[test]
+    fn cached_frames_render_the_golden_suite_byte_for_byte() {
+        use soter_scenarios::golden::{golden_path, record_from_text, write_frame};
+        use soter_scenarios::{catalog, ScenarioFingerprint};
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let goldens: Vec<RunRecord> = catalog::golden_suite()
+            .iter()
+            .map(|scenario| {
+                let text = std::fs::read_to_string(golden_path(&dir, scenario)).unwrap();
+                record_from_text(&text).unwrap()
+            })
+            .collect();
+        assert_eq!(goldens.len(), 30);
+        let cache = ResultCache::new(64);
+        let served: Vec<_> = goldens
+            .iter()
+            .enumerate()
+            .map(|(index, record)| {
+                let fingerprint = ScenarioFingerprint(index as u64);
+                cache.insert(fingerprint, record);
+                cache
+                    .lookup_job(fingerprint, &record.scenario, record.seed)
+                    .unwrap()
+            })
+            .collect();
+        let stats = ServeStats {
+            cache_lookups: 30,
+            cache_hits: 30,
+            ..ServeStats::default()
+        };
+        let mut expected = String::from("REPORT golden runs=30 shards=2 cache=30/30 stolen=0\n");
+        for (index, record) in goldens.iter().enumerate() {
+            write_frame(&mut expected, format_args!("REC {index}"), record);
+        }
+        expected.push_str("ENDREPORT golden\n");
+        assert_eq!(render_report("golden", 2, &served, stats), expected);
     }
 
     #[test]
     fn report_stats_tokens_round_trip_and_degrade_gracefully() {
-        let report = CampaignReport {
-            records: Vec::new(),
-            workers: 0,
-            wall_clock: 0.0,
-        };
         let stats = ServeStats {
             cache_lookups: 6,
             cache_hits: 4,
             stolen: 2,
             plan_entries: 0,
         };
-        let block = render_report("abc", 1, &report, stats);
+        let block = render_report("abc", 1, &[], stats);
         assert_eq!(parse_report_stats(&block), Some((4, 6, 2)));
         // Old-format headers and error blocks yield None, not a panic.
         assert_eq!(parse_report_stats("REPORT abc runs=0 shards=1\n"), None);
@@ -499,6 +566,37 @@ mod tests {
         assert!(response.contains("unknown catalog scenario"));
         let response = daemon.handle_request_line("NONSENSE");
         assert!(response.starts_with("ERRREPORT ? "), "{response}");
+    }
+
+    /// Reaping joins finished threads and keeps running ones.
+    #[test]
+    fn reaping_joins_finished_threads_and_keeps_running_ones() {
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let mut handles = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = blocked.recv();
+            }),
+            std::thread::spawn(|| {}),
+        ];
+        let wait_until = |done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "thread never finished"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_until(&|| handles[0].is_finished() && handles[2].is_finished());
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "only the blocked thread is kept");
+        assert!(!handles[0].is_finished());
+        release.send(()).unwrap();
+        wait_until(&|| handles[0].is_finished());
+        reap_finished(&mut handles);
+        assert!(handles.is_empty());
     }
 
     /// A shared byte sink, so a test can read what `serve` wrote.

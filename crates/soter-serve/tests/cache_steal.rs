@@ -181,6 +181,87 @@ fn disk_segment_keeps_the_cache_warm_across_daemon_restarts() {
     let _ = std::fs::remove_file(&segment);
 }
 
+/// Serving from the cache's stored encoding never leaks non-canonical
+/// bytes.  A hand-written segment entry with reordered keys, padded values
+/// and upper-case hex loads, and the warm daemon answers it byte-identical
+/// to a cold run without a cache; a daemon that fills a segment writes
+/// each entry as `CACHE <fingerprint>`, the record's golden text and `END`.
+#[test]
+fn a_non_canonical_segment_entry_is_served_as_a_cold_run_sends_it() {
+    let job = catalog::find("serve-smoke").expect("in the registry");
+    let fingerprint = scenario_fingerprint(&job);
+    let line = "CAMPAIGN one scenarios=serve-smoke shards=1";
+    let frames = |block: &str| block.split_once('\n').expect("a header line").1.to_string();
+
+    let cold = Daemon::new(ServeConfig {
+        shard: test_config(),
+        result_cache_capacity: 0,
+        ..ServeConfig::default()
+    })
+    .handle_request_line(line);
+    let (_, records) = parse_response(&cold).expect("cold response parses");
+    let record = &records[0];
+
+    let dir = std::env::temp_dir().join(format!("soter-canonical-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let mangled = dir.join("mangled.seg");
+    let entry = format!(
+        "CACHE 0x{:016X}\n\
+         completed   =   {}\n\
+         time_in_sc_ms = {}\n\
+         digest = 0x{:016X}\n\
+         seed={}\n\
+         scenario = {}  \n\
+         targets_reached = {}\n\
+         mode_switches = {}\n\
+         interventions = {}\n\
+         invariant_violations = {}\n\
+         separation_violations = {}\n\
+         safety_violations = {}\n\
+         END\n",
+        fingerprint.0,
+        record.completed,
+        record.time_in_sc_ms,
+        record.digest,
+        record.seed,
+        record.scenario,
+        record.targets_reached,
+        record.mode_switches,
+        record.interventions,
+        record.invariant_violations,
+        record.separation_violations,
+        record.safety_violations,
+    );
+    std::fs::write(&mangled, &entry).expect("write segment");
+    let warm = Daemon::new(ServeConfig {
+        shard: test_config(),
+        result_cache_segment: Some(mangled.clone()),
+        ..ServeConfig::default()
+    })
+    .handle_request_line(line);
+    assert_eq!(parse_report_stats(&warm), Some((1, 1, 0)), "{warm}");
+    assert_eq!(frames(&warm), frames(&cold));
+    assert_eq!(
+        std::fs::read_to_string(&mangled).expect("read segment"),
+        entry,
+        "a hit appends nothing"
+    );
+
+    let filled = dir.join("filled.seg");
+    let filler = Daemon::new(ServeConfig {
+        shard: test_config(),
+        result_cache_segment: Some(filled.clone()),
+        ..ServeConfig::default()
+    });
+    assert_eq!(frames(&filler.handle_request_line(line)), frames(&cold));
+    assert_eq!(
+        std::fs::read_to_string(&filled).expect("read segment"),
+        format!("CACHE {fingerprint}\n{}END\n", record_to_text(record))
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A cache entry whose record names another scenario is not served, in
 /// either campaign engine: a wrong-name record planted under a real job's
 /// fingerprint counts as a miss, the job re-runs to its golden record, and
@@ -215,7 +296,9 @@ fn a_cached_record_for_another_job_is_a_miss_and_is_overwritten() {
     assert_eq!(in_process.records, vec![golden.clone()]);
     assert_eq!((cache.hits(), cache.misses()), (0, 1));
     assert_eq!(
-        cache.lookup_job(fingerprint, &job.name, job.seed),
+        cache
+            .lookup_job(fingerprint, &job.name, job.seed)
+            .map(|entry| entry.record().clone()),
         Some(golden.clone())
     );
 
@@ -230,7 +313,9 @@ fn a_cached_record_for_another_job_is_a_miss_and_is_overwritten() {
     assert_eq!(sharded.records, vec![golden.clone()]);
     assert_eq!((stats.cache_hits, stats.cache_lookups), (0, 1));
     assert_eq!(
-        cache.lookup_job(fingerprint, &job.name, job.seed),
+        cache
+            .lookup_job(fingerprint, &job.name, job.seed)
+            .map(|entry| entry.record().clone()),
         Some(golden)
     );
 }
