@@ -11,6 +11,12 @@
 //!   search, at 1 and 4 workers: every candidate shares the base
 //!   scenario's planner queries, so the runs are planner-free.
 //!
+//! One ablation row rides along: `plan/doomed-start`, the fastest full
+//! RRT* query on the mission's workspace over the fastest query whose
+//! start is free but inside the planner's clearance margin.  Such a query
+//! can never grow a tree, so it only draws its samples and answers `None`;
+//! the row falls below 1x if it builds a tree again.
+//!
 //! The whole speedup over the sequential rows comes from the plan cache.
 //! A lockstep batch engine once ran the same candidates over one shared
 //! compilation; measured at widths 1 and 8 it showed no gain, and it was
@@ -27,11 +33,15 @@
 
 use soter_bench::{gate_against_env_baseline, write_json, BenchEntry};
 use soter_core::time::{Duration, Time};
+use soter_plan::rrt_star::{RrtStar, RrtStarConfig};
+use soter_plan::traits::MotionPlanner;
 use soter_runtime::schedule::JitterSchedule;
 use soter_scenarios::campaign::{Campaign, RunRecord};
 use soter_scenarios::falsify::{Falsifier, FalsifierConfig, ScheduleFamily, ScheduleSpace};
 use soter_scenarios::spec::{JitterSpec, MissionSpec, Scenario, TargetPolicySpec, WorkspaceSpec};
 use soter_sim::vec3::Vec3;
+use soter_sim::world::Workspace;
+use std::hint::black_box;
 use std::time::Instant;
 
 const HORIZON: f64 = 10.0;
@@ -153,6 +163,21 @@ fn measure(reps: usize, mut eval: impl FnMut() -> Vec<RunRecord>) -> (f64, Vec<R
     (best, last)
 }
 
+/// Fastest of `reps` wall-clock times (seconds) of one query on a fresh
+/// planner of the stack's RRT* configuration; asserts whether it plans.
+fn fastest_query(workspace: &Workspace, start: Vec3, goal: Vec3, plans: bool, reps: usize) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let mut planner = RrtStar::new(RrtStarConfig::default());
+            let started = Instant::now();
+            let plan = planner.plan(workspace, black_box(start), black_box(goal));
+            let elapsed = started.elapsed().as_secs_f64();
+            assert_eq!(plan.is_some(), plans, "query {start} -> {goal}");
+            elapsed
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
     let quick = std::env::var("BENCH_QUICK")
         .map(|v| v == "1")
@@ -201,6 +226,27 @@ fn main() {
         warm_rate / sequential_rate.max(1e-9)
     );
 
+    // Ablation: a starved drone next to a pillar asks for a plan from a
+    // start that is free but inside the clearance margin.  That query
+    // draws its samples and answers `None` without building a tree.
+    let workspace = base_scenario().workspace.build();
+    let goal = Vec3::new(55.0, 55.0, 5.0);
+    let full = fastest_query(&workspace, Vec3::new(3.0, 3.0, 5.0), goal, true, 5 * reps);
+    // 0.15 m inside the 0.6 m inflated west face of the (9, 9) pillar.
+    let doomed = fastest_query(&workspace, Vec3::new(6.55, 9.0, 5.0), goal, false, 5 * reps);
+    let doomed_speedup = full / doomed.max(1e-12);
+    println!(
+        "{:<28} {doomed_speedup:>12.1} x speedup (full {:.3} ms, doomed {:.3} ms)",
+        "plan/doomed-start",
+        full * 1e3,
+        doomed * 1e3
+    );
+    entries.push(BenchEntry::new(
+        "plan/doomed-start",
+        doomed_speedup,
+        "x speedup",
+    ));
+
     let workspace_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let resolve = |p: String| {
         let path = std::path::PathBuf::from(&p);
@@ -219,7 +265,9 @@ fn main() {
             "note",
             "schedules/s of Falsifier::evaluate over 8 candidates; best of repeated runs. \
              The speedup over the sequential rows comes entirely from the plan cache; \
-             lockstep batch execution was measured at no gain and deleted"
+             lockstep batch execution was measured at no gain and deleted. \
+             plan/doomed-start is the fastest full dense-pillar RRT* query over the \
+             fastest query whose start lies inside the clearance margin"
                 .to_string(),
         ),
     ];

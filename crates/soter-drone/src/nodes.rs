@@ -100,6 +100,11 @@ impl Node for ControllerNode {
 }
 
 /// A motion-planner node wrapping a [`MotionPlanner`].
+///
+/// It re-plans only when the application's target moves 0.5 m or more
+/// from the last target it published a plan for.  A `None` from the
+/// planner records no target, so the node re-plans on every firing until
+/// a query succeeds.
 pub struct PlannerNode {
     name: String,
     planner: Box<dyn MotionPlanner>,

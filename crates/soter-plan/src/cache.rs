@@ -517,6 +517,52 @@ mod tests {
         assert_eq!(cache.hits(), 6);
     }
 
+    /// A doomed start (free, but inside the planner's clearance margin)
+    /// can never grow a tree.  Through the cache, a history containing one
+    /// must still answer like the uncached planner on the miss round and
+    /// on a hit round.  The recorded transition is `None`, and the snapshot
+    /// after it carries the sampling stream past the doomed query.
+    #[test]
+    fn cached_rrt_star_reproduces_a_history_with_a_doomed_start() {
+        let workspace = Workspace::city_block();
+        let config = RrtStarConfig {
+            seed: 9,
+            ..RrtStarConfig::default()
+        };
+        // 0.45 m off the west face of the house at (13, 13).
+        let doomed = Vec3::new(8.55, 13.0, 3.0);
+        assert!(workspace.is_free_with_margin(doomed, 0.0));
+        assert!(!workspace.is_free_with_margin(doomed, config.margin));
+        let queries = [
+            (Vec3::new(3.0, 3.0, 2.5), Vec3::new(24.0, 18.0, 3.0)),
+            (doomed, Vec3::new(24.0, 18.0, 3.0)),
+            (Vec3::new(6.0, 22.0, 4.0), Vec3::new(20.0, 6.0, 2.0)),
+        ];
+        let mut direct = RrtStar::new(config);
+        let expected: Vec<_> = queries
+            .iter()
+            .map(|&(a, b)| direct.plan(&workspace, a, b))
+            .collect();
+        assert_eq!(expected[1], None);
+
+        let cache = Arc::new(PlanCache::new());
+        let identity = identity_key("rrt*", &[9, workspace_fingerprint(&workspace)]);
+        for round in 0..2 {
+            let mut cached =
+                CachedPlanner::new(Box::new(RrtStar::new(config)), identity, Arc::clone(&cache));
+            let got: Vec<_> = queries
+                .iter()
+                .map(|&(a, b)| cached.plan(&workspace, a, b))
+                .collect();
+            assert_eq!(got, expected, "round {round} diverged from uncached run");
+        }
+        // Round 0 misses every query; round 1 hits every query.
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.hits(), 3);
+        let (_, entries) = cache.export_since(0);
+        assert_eq!(entries[1].plan, None, "the doomed query records no plan");
+    }
+
     /// Distinct histories must not alias: the same query asked first vs
     /// second reaches different chain states and may answer differently.
     #[test]

@@ -392,6 +392,12 @@ impl MotionPlanner for RrtStar {
         "rrt-star"
     }
 
+    /// Plans with `max_iterations` sampling iterations.  The entry checks
+    /// (start or goal in collision, a free straight shot) draw nothing.
+    /// Past them, every query advances the sampling stream by exactly
+    /// `max_iterations` sampler draws, a `None` included, so each answer
+    /// depends only on the query history: the invariant
+    /// [`crate::cache::PlanCache`] chains rely on.
     fn plan(&mut self, workspace: &Workspace, start: Vec3, goal: Vec3) -> Option<Vec<Vec3>> {
         let cfg = self.config;
         if !workspace.is_free_with_margin(start, 0.0) || !workspace.is_free_with_margin(goal, 0.0) {
@@ -402,11 +408,20 @@ impl MotionPlanner for RrtStar {
         if checker.segment_free(start, goal) {
             return Some(vec![start, goal]);
         }
-        // Whether start/goal are free at the *query margin* (the entry
-        // check above uses margin 0): every segment touching them must
-        // still include that endpoint condition, as the full segment check
-        // would.
-        let start_margin_ok = checker.point_free(start);
+        // A start that is free (the entry check above uses margin 0) but
+        // not at the *query margin* fails every edge out of it, so no node
+        // can join the tree and the query answers `None`.  Sampling is the
+        // loop's only RNG consumer and ignores the tree, so drawing the
+        // samples alone leaves the planner as the full loop would.
+        if !checker.point_free(start) {
+            for _ in 0..cfg.max_iterations {
+                self.sample(workspace, goal);
+            }
+            return None;
+        }
+        // The goal may still fail the query margin: every segment touching
+        // it must include that endpoint condition, as the full segment
+        // check would.
         let goal_margin_ok = checker.point_free(goal);
         let mut tree = vec![TreeNode {
             position: start,
@@ -421,14 +436,12 @@ impl MotionPlanner for RrtStar {
         // filter by the true radius), so degenerate configurations —
         // neighbor_radius of zero, or tiny radii that would explode the
         // bucket count — fall back to a 1 m floor.
-        // Every non-start node inserted below is point-free at the query
-        // margin (the `edge_free` precondition).
         let mut grid = BucketGrid::new(b.min, b.max, cfg.neighbor_radius.max(1.0));
         grid.insert(start, 0);
-        // Full segment freeness for a tree edge: endpoint freeness (only
-        // node 0 can fail it, see above) plus obstacle clearance.
-        let edge_free =
-            |i: usize, a: Vec3, b: Vec3| (i != 0 || start_margin_ok) && checker.segment_clear(a, b);
+        // Full segment freeness for a tree edge: every node, the start
+        // included, is point-free at the query margin (the
+        // `segment_clear` precondition), so obstacle clearance decides it.
+        let edge_free = |_: usize, a: Vec3, b: Vec3| checker.segment_clear(a, b);
         let mut best_goal: Option<(usize, f64)> = None;
         for _ in 0..cfg.max_iterations {
             let sample = self.sample(workspace, goal);
@@ -739,6 +752,29 @@ mod tests {
         Workspace::new(bounds, obstacles, 0.3)
     }
 
+    /// Folds one planner answer into an FNV-1a hash: the waypoint count
+    /// and the exact f64 bit patterns of every waypoint, or a marker byte
+    /// for a missing plan.
+    fn hash_plan(h: &mut u64, plan: Option<Vec<Vec3>>) {
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        match plan {
+            Some(plan) => {
+                feed(&(plan.len() as u64).to_le_bytes());
+                for p in plan {
+                    for v in [p.x, p.y, p.z] {
+                        feed(&v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+            None => feed(&[0xff]),
+        }
+    }
+
     /// Every RRT* plan is pinned bit for bit: an FNV-1a hash over the
     /// exact f64 bit patterns of every plan a fixed query set produces,
     /// with one planner per workspace and seed so the RNG stream carries
@@ -749,12 +785,6 @@ mod tests {
     #[test]
     fn plans_are_pinned_bit_for_bit() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut feed = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
         let corners = |lo: f64, hi: f64, z: f64| {
             vec![
                 Vec3::new(lo, lo, z),
@@ -781,22 +811,76 @@ mod tests {
                 });
                 for (i, a) in points.iter().enumerate() {
                     for b in &points[i + 1..] {
-                        match planner.plan(workspace, *a, *b) {
-                            Some(plan) => {
-                                feed(&(plan.len() as u64).to_le_bytes());
-                                for p in plan {
-                                    for v in [p.x, p.y, p.z] {
-                                        feed(&v.to_bits().to_le_bytes());
-                                    }
-                                }
-                            }
-                            None => feed(&[0xff]),
-                        }
+                        hash_plan(&mut h, planner.plan(workspace, *a, *b));
                     }
                 }
             }
         }
         assert_eq!(h, 17_646_880_782_261_002_064);
+    }
+
+    /// A start that is free but inside the clearance margin can never grow
+    /// a tree, so the query answers `None`; it must still leave the
+    /// sampling stream exactly where the full sampling loop leaves it.
+    /// Per-planner query streams on the dense-pillar workspace interleave
+    /// such doomed starts with ordinary queries, so every later plan
+    /// observes the RNG advance, and an FNV-1a hash over every answer is
+    /// pinned.  The literal was computed on the planner that still ran
+    /// all `max_iterations` tree iterations for a doomed start.
+    #[test]
+    fn doomed_start_streams_are_pinned_bit_for_bit() {
+        let workspace = dense_pillars();
+        let margin = RrtStarConfig::default().margin;
+        let corner = [
+            Vec3::new(3.0, 3.0, 5.0),
+            Vec3::new(55.0, 3.0, 5.0),
+            Vec3::new(55.0, 55.0, 5.0),
+            Vec3::new(3.0, 55.0, 5.0),
+        ];
+        let mid = Vec3::new(24.0, 34.0, 2.5);
+        let doomed = [
+            // 0.15 m inside the 0.6 m inflated west face of the (9, 9) pillar.
+            Vec3::new(6.55, 9.0, 5.0),
+            // 0.45 m off the east face of the (19, 19) pillar.
+            Vec3::new(21.45, 19.0, 5.0),
+            // 0.45 m above the top of the (29, 29) pillar.
+            Vec3::new(29.0, 29.0, 10.45),
+            // 0.2 m inside the workspace bounds.
+            Vec3::new(0.2, 30.0, 5.0),
+        ];
+        for start in doomed {
+            assert!(workspace.is_free_with_margin(start, 0.0));
+            assert!(!workspace.is_free_with_margin(start, margin));
+        }
+        let stream = [
+            (corner[0], corner[2]),
+            (doomed[0], corner[1]),
+            (corner[1], corner[3]),
+            (doomed[1], corner[0]),
+            (doomed[2], mid),
+            (corner[3], corner[1]),
+            (doomed[3], corner[2]),
+            (mid, corner[0]),
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for seed in [0u64, 7] {
+            let mut planner = RrtStar::new(RrtStarConfig {
+                seed,
+                ..RrtStarConfig::default()
+            });
+            for (start, goal) in stream {
+                let plan = planner.plan(&workspace, start, goal);
+                if doomed.contains(&start) {
+                    assert_eq!(plan, None, "doomed start {start} planned");
+                } else {
+                    // A sampled detour, not a straight shot: the plan
+                    // depends on the stream position.
+                    assert!(plan.as_ref().is_some_and(|p| p.len() > 2));
+                }
+                hash_plan(&mut h, plan);
+            }
+        }
+        assert_eq!(h, 15_370_537_059_028_258_326);
     }
 
     #[test]
