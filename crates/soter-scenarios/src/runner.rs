@@ -697,6 +697,86 @@ mod tests {
         assert!(outcome.targets_reached() >= 2);
     }
 
+    /// Pins the single-drone extras no digest covers: the battery/altitude
+    /// profile (length, first and last samples as bits), the battery
+    /// module's switch charge and the motion primitive's dis/re-engagement
+    /// counts.
+    #[test]
+    fn single_drone_extras_are_pinned() {
+        use crate::catalog;
+        // (scenario, profile length, first and last samples as bits,
+        // switch charge as bits, disengagements, re-engagements)
+        let pins = [
+            (
+                catalog::fig12c(11, 300.0),
+                600,
+                [
+                    4576918229304087675,
+                    4617315517961601024,
+                    4607181518080091934,
+                ],
+                [4643977355521215693, 0, 0],
+                Some(4592421216837961159),
+                30,
+                30,
+            ),
+            (
+                catalog::fig12b(7, 2, 150.0),
+                21,
+                [
+                    4576918229304087675,
+                    4617315517961601024,
+                    4607182343740023618,
+                ],
+                [
+                    4621841635587108372,
+                    4617501247367233173,
+                    4607071701428341016,
+                ],
+                None,
+                2,
+                2,
+            ),
+        ];
+        let bits = |(t, z, c): (f64, f64, f64)| [t.to_bits(), z.to_bits(), c.to_bits()];
+        for (scenario, len, first, last, switch_charge, dis, re) in pins {
+            let run = run_scenario(&scenario).run.expect("missions produce a run");
+            let name = &scenario.name;
+            assert_eq!(run.profile.len(), len, "{name}");
+            assert_eq!(bits(run.profile[0]), first, "{name}");
+            assert_eq!(bits(run.profile[len - 1]), last, "{name}");
+            assert_eq!(
+                run.battery_switch_charge.map(f64::to_bits),
+                switch_charge,
+                "{name}"
+            );
+            assert_eq!(run.mpr_disengagements, dis, "{name}");
+            assert_eq!(run.mpr_reengagements, re, "{name}");
+        }
+    }
+
+    /// The public custom-stack entry flies the same run as the scenario
+    /// engine when handed the stack and schedule the engine builds.
+    #[test]
+    fn run_stack_reproduces_run_scenario() {
+        use crate::catalog;
+        use soter_drone::stack::Protection;
+        let scenario = catalog::fig12a(Protection::Rta, 3, 300.0);
+        let workspace = scenario.workspace.build();
+        let waypoints = workspace.surveillance_points().to_vec();
+        let laps = waypoints.len() as i64;
+        let (system, handle) =
+            build_circuit_stack(&scenario.stack_config(&workspace), waypoints, false);
+        let schedule = scenario.jitter.model(scenario.seed);
+        let custom = run_stack(system, handle, scenario.horizon, Some(laps), schedule);
+        let engine = run_scenario(&scenario).run.expect("missions produce a run");
+        assert_eq!(custom.trace_digest, engine.trace_digest);
+        assert_eq!(custom.trace_events, engine.trace_events);
+        assert_eq!(custom.completion_time, engine.completion_time);
+        assert!(engine.completion_time.is_some(), "the RTA lap completes");
+        assert_eq!(custom.trajectory.samples(), engine.trajectory.samples());
+    }
+
     /// Fig. 9's decision module cannot ping-pong: a mode switch only fires
     /// when the DM fires, and consecutive DM firings are at least one
     /// decision period apart (scheduling jitter only pushes them further).
