@@ -1,8 +1,12 @@
 //! The result record of the planner fault-injection experiment.
 //!
-//! Mission scenarios report through `soter_scenarios::runner::RunOutcome`
-//! and `MissionMetrics`; only the Sec. V-C planner queries need a record of
-//! their own.
+//! Scenario results live in `soter_scenarios::runner`.  `ScenarioOutcome`
+//! carries every run's totals: invariant violations, mode switches,
+//! interventions and time in SC.  `RunOutcome` holds a single-drone run's
+//! per-vehicle detail (trajectory, engagements, plant read-out, battery
+//! profile), `FleetOutcome` an airspace's per-drone detail, and
+//! `MissionMetrics` the metrics over a trajectory.  Only the Sec. V-C
+//! planner queries need a record of their own.
 
 /// Result of the planner fault-injection experiment (Sec. V-C).
 #[derive(Debug, Clone, PartialEq)]

@@ -5,23 +5,25 @@
 //! and patrol circuit per drone, derived from the workspace's surveillance
 //! points according to the layout — and executed as one composed
 //! [`RtaSystem`](soter_core::composition::RtaSystem) of N scoped stacks.
-//! The runner records one ground-truth trajectory per drone, counts
-//! workspace collision episodes (φ_safe) per drone and separation
-//! violation episodes (φ_sep) per pair, and folds everything into the same
-//! deterministic digest scheme single-drone scenarios use, so fleet
-//! scenarios campaign, stream and golden-pin exactly like the paper's
-//! original drivers.
+//! [`run_fleet`] flies it through the same flight loop as single-drone
+//! missions, watching every drone: the loop records one ground-truth
+//! trajectory per drone and the end-of-run totals, and `run_fleet` adds
+//! the separation monitor.  It counts workspace collision episodes
+//! (φ_safe) per drone and separation violation episodes (φ_sep) per pair,
+//! and folds everything into a digest that hashes trajectories like the
+//! single-drone one, so fleet scenarios campaign, stream and golden-pin
+//! exactly like the paper's original drivers.
 
-use crate::runner::{collision_episodes, ScenarioOutcome};
+use crate::runner::{
+    collision_episodes, fly, hash_trajectory, module_index, ScenarioOutcome, Totals, Watched,
+};
 use crate::spec::{FleetLayout, FleetSpec, MissionSpec, Scenario};
-use soter_core::rta::Mode;
-use soter_core::topic::Value;
 use soter_drone::airspace::{
     build_airspace_stack, drone_prefix, module_name, scoped_topic, AirspaceStackConfig, DroneAgent,
 };
 use soter_drone::stack::Protection;
 use soter_drone::topics;
-use soter_runtime::executor::{Executor, ExecutorConfig};
+use soter_runtime::executor::Executor;
 use soter_runtime::trace::TraceHasher;
 use soter_sim::airspace::SeparationMonitor;
 use soter_sim::trajectory::Trajectory;
@@ -139,6 +141,9 @@ pub fn fleet_agents(
 }
 
 /// Runs a fleet scenario to completion (or the horizon) and summarises it.
+/// The runner's flight loop watches every drone; this function resolves
+/// their scoped topics and modules once and feeds each instant's positions
+/// to the separation monitor through one reused buffer.
 ///
 /// # Panics
 ///
@@ -154,141 +159,63 @@ pub fn run_fleet(scenario: &Scenario, fleet: &FleetSpec) -> ScenarioOutcome {
         ),
     };
     let workspace = scenario.workspace.build();
-    let agents = fleet_agents(scenario, &workspace, fleet);
-    let n = agents.len();
-    let lap_targets: Vec<i64> = agents.iter().map(|a| a.circuit.len() as i64).collect();
     let config = AirspaceStackConfig {
         base: scenario.stack_config(&workspace),
-        agents,
+        agents: fleet_agents(scenario, &workspace, fleet),
         separation_radius: fleet.separation_radius,
         yield_margin: fleet.yield_margin,
         looping,
     };
-    let (system, handles) = build_airspace_stack(&config);
-    // Resolve each drone's module index (unprotected drones have none) and
-    // whether its constant mode is safe (SC-only) once, outside the loop.
-    let module_index: Vec<Option<usize>> = (0..n)
-        .map(|i| {
-            let name = module_name(i);
-            system.modules().iter().position(|m| m.name() == name)
-        })
-        .collect();
-    let sc_only: Vec<bool> = config
+    // The executor owns the nodes, the handles the vehicles: keep both
+    // alive to the end of the run.
+    let (system, _handles) = build_airspace_stack(&config);
+    let drones: Vec<Watched> = config
         .agents
         .iter()
-        .map(|a| a.protection == Protection::ScOnly)
-        .collect();
-    let truth_topics: Vec<String> = (0..n)
-        .map(|i| scoped_topic(&drone_prefix(i), topics::GROUND_TRUTH))
-        .collect();
-    let progress_topics: Vec<String> = (0..n)
-        .map(|i| scoped_topic(&drone_prefix(i), topics::MISSION_PROGRESS))
-        .collect();
-    let exec_config = ExecutorConfig {
-        schedule: scenario.jitter.model(scenario.seed),
-        record_trace: false,
-        monitor_invariants: true,
-    };
-    let mut exec = Executor::with_config(system, exec_config);
-    let mut trajectories = vec![Trajectory::new(); n];
-    let mut monitor = SeparationMonitor::new(fleet.separation_radius);
-    let mut completion_time = None;
-    while let Some(now) = exec.step_instant() {
-        let t = now.as_secs_f64();
-        if t > scenario.horizon {
-            break;
-        }
-        let mut positions = Vec::with_capacity(n);
-        for i in 0..n {
-            let Some(truth) = exec
-                .topic(&truth_topics[i])
-                .and_then(topics::value_to_state)
-            else {
-                continue;
-            };
-            let safe_mode = match module_index[i] {
-                Some(m) => exec.system().modules()[m].mode() == Mode::Sc,
-                None => sc_only[i],
-            };
-            trajectories[i].push(t, truth, safe_mode);
-            positions.push(truth.position);
-        }
-        // Only judge φ_sep on instants where the whole fleet is observed,
-        // so pair indices stay consistent.
-        if positions.len() == n {
-            monitor.observe(&positions);
-        }
-        if !looping && completion_time.is_none() {
-            let all_done = (0..n).all(|i| {
-                exec.topic(&progress_topics[i])
-                    .and_then(Value::as_int)
-                    .unwrap_or(0)
-                    >= lap_targets[i]
-            });
-            if all_done {
-                completion_time = Some(t);
-                break;
+        .enumerate()
+        .map(|(i, agent)| {
+            let prefix = drone_prefix(i);
+            Watched {
+                truth: scoped_topic(&prefix, topics::GROUND_TRUTH).into(),
+                progress: scoped_topic(&prefix, topics::MISSION_PROGRESS).into(),
+                module: module_index(&system, &module_name(i)),
+                sc_only: agent.protection == Protection::ScOnly,
+                lap_target: (!looping).then_some(agent.circuit.len() as i64),
             }
-        }
-    }
-    let targets_reached: Vec<usize> = (0..n)
-        .map(|i| {
-            exec.topic(&progress_topics[i])
-                .and_then(Value::as_int)
-                .unwrap_or(0)
-                .max(0) as usize
         })
         .collect();
-    let invariant_violations: usize = exec.monitors().iter().map(|m| m.violations().len()).sum();
-    let total_mode_switches: usize = exec
-        .system()
-        .modules()
-        .iter()
-        .map(|m| m.dm().disengagement_count() + m.dm().reengagement_count())
-        .sum();
-    // RTAEval-style filter metrics, summed over the fleet's per-drone
-    // motion-primitive modules (the fleet's only RTA modules).
-    let end = exec.now();
-    let interventions: usize = exec
-        .system()
-        .modules()
-        .iter()
-        .map(|m| m.interventions())
-        .sum();
-    let time_in_sc = exec
-        .system()
-        .modules()
-        .iter()
-        .fold(soter_core::time::Duration::ZERO, |acc, m| {
-            acc + m.dm().time_in_sc(end)
-        });
-    let collision_counts: Vec<usize> = trajectories
+    let mut monitor = SeparationMonitor::new(fleet.separation_radius);
+    let schedule = scenario.jitter.model(scenario.seed);
+    let flight = fly(
+        system,
+        schedule,
+        scenario.horizon,
+        &drones,
+        |_, _, positions| {
+            // Only judge φ_sep on instants where the whole fleet is observed,
+            // so pair indices stay consistent.
+            if positions.len() == drones.len() {
+                monitor.observe(positions);
+            }
+        },
+    );
+    let collision_counts: Vec<usize> = flight
+        .trajectories
         .iter()
         .map(|t| collision_episodes(t, &workspace))
         .collect();
     let safety_violations: usize = collision_counts.iter().sum();
-    let completed = looping || completion_time.is_some();
+    let completed = looping || flight.completion_time.is_some();
     let fleet_outcome = FleetOutcome {
         collision_episodes: collision_counts,
         separation_violations: monitor.episodes(),
         min_separation: monitor.min_separation(),
-        targets_reached,
-        completion_time,
-        trajectories,
+        targets_reached: flight.targets_reached,
+        completion_time: flight.completion_time,
+        trajectories: flight.trajectories,
     };
-    let digest = digest_fleet(
-        scenario,
-        &fleet_outcome,
-        exec.trace().digest(),
-        exec.trace().recorded_events(),
-        total_mode_switches,
-        invariant_violations,
-        completed,
-    );
-    // Keep the plant handles alive to the end of the run for symmetry with
-    // the single-drone runner (the executor owns the nodes, the handles the
-    // vehicles).
-    drop(handles);
+    let totals = flight.totals;
+    let digest = digest_fleet(scenario, &fleet_outcome, &flight.exec, &totals, completed);
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         seed: scenario.seed,
@@ -298,50 +225,38 @@ pub fn run_fleet(scenario: &Scenario, fleet: &FleetSpec) -> ScenarioOutcome {
         planner: None,
         safety_violations,
         separation_violations: fleet_outcome.separation_violations,
-        invariant_violations,
-        mode_switches: total_mode_switches,
+        invariant_violations: totals.invariant_violations,
+        mode_switches: totals.mode_switches,
         completed,
         max_deviation: None,
         fleet: Some(fleet_outcome),
-        interventions,
-        time_in_sc,
+        interventions: totals.interventions,
+        time_in_sc: totals.time_in_sc,
     }
 }
 
 fn digest_fleet(
     scenario: &Scenario,
     outcome: &FleetOutcome,
-    trace_digest: u64,
-    trace_events: u64,
-    mode_switches: usize,
-    invariant_violations: usize,
+    exec: &Executor,
+    totals: &Totals,
     completed: bool,
 ) -> u64 {
     let mut h = TraceHasher::new();
     h.write_str(&scenario.name);
     h.write_u64(scenario.seed);
-    h.write_u64(trace_digest);
-    h.write_u64(trace_events);
+    h.write_u64(exec.trace().digest());
+    h.write_u64(exec.trace().recorded_events());
     h.write_u64(outcome.trajectories.len() as u64);
     for (i, trajectory) in outcome.trajectories.iter().enumerate() {
-        h.write_u64(trajectory.len() as u64);
-        for s in trajectory.samples() {
-            h.write_f64(s.time);
-            h.write_f64(s.state.position.x);
-            h.write_f64(s.state.position.y);
-            h.write_f64(s.state.position.z);
-            h.write_f64(s.state.velocity.x);
-            h.write_f64(s.state.velocity.y);
-            h.write_f64(s.state.velocity.z);
-            h.write_bool(s.safe_mode);
-        }
+        hash_trajectory(&mut h, trajectory);
         h.write_u64(outcome.collision_episodes[i] as u64);
         h.write_u64(outcome.targets_reached[i] as u64);
     }
     h.write_u64(outcome.separation_violations as u64);
     h.write_f64(outcome.min_separation);
-    h.write_u64(mode_switches as u64);
-    h.write_u64(invariant_violations as u64);
+    h.write_u64(totals.mode_switches as u64);
+    h.write_u64(totals.invariant_violations as u64);
     h.write_bool(completed);
     match outcome.completion_time {
         Some(t) => {

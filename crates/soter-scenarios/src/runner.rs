@@ -1,6 +1,13 @@
-//! Scenario execution: compiles a [`Scenario`] to a stack, runs it on the
+//! Scenario execution: compiles a [`Scenario`] to a stack, flies it on the
 //! discrete-event executor and summarises the result as a
 //! [`ScenarioOutcome`] with a deterministic digest.
+//!
+//! One flight loop flies every executor run: single-drone missions,
+//! custom stacks handed to [`run_stack`], airspaces of N scoped stacks
+//! ([`crate::fleet::run_fleet`]) and the flight to horizon behind the
+//! falsifier's switch-reason breakdown.  The loop also derives the
+//! end-of-run totals — monitor violations, mode switches, interventions
+//! and time in SC — that [`ScenarioOutcome`] carries.
 
 use crate::spec::{MissionSpec, Scenario};
 use rand::rngs::SmallRng;
@@ -8,6 +15,7 @@ use rand::SeedableRng;
 use soter_core::composition::RtaSystem;
 use soter_core::dm::SwitchReason;
 use soter_core::rta::{Mode, SafetyOracle};
+use soter_core::time::Duration;
 use soter_core::topic::Value;
 use soter_drone::plant::PlantHandle;
 use soter_drone::report::PlannerRtaReport;
@@ -25,9 +33,12 @@ use soter_runtime::trace::TraceHasher;
 use soter_sim::trajectory::{MissionMetrics, Trajectory};
 use soter_sim::vec3::Vec3;
 use soter_sim::world::Workspace;
+use std::borrow::Cow;
 use std::sync::{Arc, PoisonError};
 
-/// The outcome of running one stack to completion (or timeout).
+/// The per-vehicle detail of one single-drone run to completion (or
+/// timeout).  The run's totals — invariant violations, mode switches,
+/// interventions and time in SC — are on [`ScenarioOutcome`].
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Ground-truth trajectory with the motion-primitive mode annotated.
@@ -36,26 +47,11 @@ pub struct RunOutcome {
     pub completion_time: Option<f64>,
     /// Final value of the mission-progress topic.
     pub targets_reached: usize,
-    /// Theorem 3.1 invariant violations observed by the runtime monitors.
-    pub invariant_violations: usize,
     /// AC→SC switches of the motion-primitive module (0 for unprotected
     /// configurations).
     pub mpr_disengagements: usize,
     /// SC→AC switches of the motion-primitive module.
     pub mpr_reengagements: usize,
-    /// Safety-filter interventions of the motion-primitive module: AC→SC
-    /// disengagements plus ASIF command clips (0 for unprotected
-    /// configurations).  The RTAEval-style "how often did the filter act"
-    /// metric of cross-filter comparisons.
-    pub mpr_interventions: usize,
-    /// Cumulative time the motion-primitive module spent in SC mode over
-    /// the run (µs-exact from the decision module's switch history; zero
-    /// for unprotected configurations).  The RTAEval-style conservatism
-    /// metric: a filter that barely hands control to the SC scores low.
-    pub time_in_sc: soter_core::time::Duration,
-    /// AC→SC plus SC→AC switches summed across every RTA module in the
-    /// stack (planner and battery included).
-    pub total_mode_switches: usize,
     /// Distance flown according to the plant (metres).
     pub distance_flown: f64,
     /// Final battery charge.
@@ -73,6 +69,137 @@ pub struct RunOutcome {
     pub trace_events: u64,
 }
 
+/// A drone the flight loop watches, resolved before the first instant.
+pub(crate) struct Watched {
+    /// Its ground-truth state topic.
+    pub(crate) truth: Cow<'static, str>,
+    /// Its mission-progress topic.
+    pub(crate) progress: Cow<'static, str>,
+    /// Index of its motion-primitive RTA module (`None` when unprotected).
+    pub(crate) module: Option<usize>,
+    /// The constant safe-mode annotation of an unprotected drone: true when
+    /// only its safe controller flies.
+    pub(crate) sc_only: bool,
+    /// The mission progress that completes its lap, if the run has one.
+    pub(crate) lap_target: Option<i64>,
+}
+
+impl Watched {
+    /// The one drone of a single-drone stack.
+    fn mission(system: &RtaSystem, lap_target: Option<i64>) -> Self {
+        Watched {
+            truth: topics::GROUND_TRUTH.into(),
+            progress: topics::MISSION_PROGRESS.into(),
+            module: module_index(system, "safe_motion_primitive"),
+            sc_only: system.free_nodes().iter().any(|n| n.name() == "mpr_sc"),
+            lap_target,
+        }
+    }
+}
+
+/// The index of the RTA module called `name`, if the system has one.
+pub(crate) fn module_index(system: &RtaSystem, name: &str) -> Option<usize> {
+    system.modules().iter().position(|m| m.name() == name)
+}
+
+/// The end-of-run totals every executor-run [`ScenarioOutcome`] carries.
+pub(crate) struct Totals {
+    pub(crate) invariant_violations: usize,
+    /// AC→SC plus SC→AC switches across every RTA module.
+    pub(crate) mode_switches: usize,
+    /// Interventions summed over the watched motion-primitive modules.
+    pub(crate) interventions: usize,
+    /// Time in SC summed over the watched motion-primitive modules.
+    pub(crate) time_in_sc: Duration,
+}
+
+/// What the flight loop leaves behind.
+pub(crate) struct Flight {
+    /// The executor, stopped after the run's last instant.
+    pub(crate) exec: Executor,
+    /// Ground-truth trajectory per watched drone.
+    pub(crate) trajectories: Vec<Trajectory>,
+    /// When every watched drone had reached its lap target, if all have one.
+    pub(crate) completion_time: Option<f64>,
+    /// Final mission progress per watched drone.
+    pub(crate) targets_reached: Vec<usize>,
+    pub(crate) totals: Totals,
+}
+
+/// The flight loop.  Steps `system` under `schedule` until `horizon`
+/// passes or every drone reaches its lap target, recording each drone's
+/// ground-truth trajectory.  Each instant, `observe` sees the positions of
+/// the drones whose ground truth was published, in watch order.
+pub(crate) fn fly(
+    system: RtaSystem,
+    schedule: JitterSchedule,
+    horizon: f64,
+    drones: &[Watched],
+    mut observe: impl FnMut(&Executor, f64, &[Vec3]),
+) -> Flight {
+    let config = ExecutorConfig {
+        schedule,
+        record_trace: false,
+        monitor_invariants: true,
+    };
+    let mut exec = Executor::with_config(system, config);
+    let progress = |exec: &Executor, drone: &Watched| {
+        exec.topic(&drone.progress)
+            .and_then(Value::as_int)
+            .unwrap_or(0)
+    };
+    let mut trajectories = vec![Trajectory::new(); drones.len()];
+    let mut positions = Vec::with_capacity(drones.len());
+    let mut completion_time = None;
+    while let Some(now) = exec.step_instant() {
+        let t = now.as_secs_f64();
+        if t > horizon {
+            break;
+        }
+        positions.clear();
+        for (drone, trajectory) in drones.iter().zip(&mut trajectories) {
+            let Some(truth) = exec.topic(&drone.truth).and_then(topics::value_to_state) else {
+                continue;
+            };
+            let safe_mode = match drone.module {
+                Some(m) => exec.system().modules()[m].mode() == Mode::Sc,
+                None => drone.sc_only,
+            };
+            trajectory.push(t, truth, safe_mode);
+            positions.push(truth.position);
+        }
+        observe(&exec, t, &positions);
+        let done = |d: &Watched| d.lap_target.is_some_and(|n| progress(&exec, d) >= n);
+        if drones.iter().all(done) {
+            completion_time = Some(t);
+            break;
+        }
+    }
+    let targets_reached = drones
+        .iter()
+        .map(|d| progress(&exec, d).max(0) as usize)
+        .collect();
+    let modules = exec.system().modules();
+    let end = exec.now();
+    let mprs = || drones.iter().filter_map(|d| d.module).map(|m| &modules[m]);
+    let totals = Totals {
+        invariant_violations: exec.monitors().iter().map(|m| m.violations().len()).sum(),
+        mode_switches: modules
+            .iter()
+            .map(|m| m.dm().disengagement_count() + m.dm().reengagement_count())
+            .sum(),
+        interventions: mprs().map(|m| m.interventions()).sum(),
+        time_in_sc: mprs().fold(Duration::ZERO, |acc, m| acc + m.dm().time_in_sc(end)),
+    };
+    Flight {
+        exec,
+        trajectories,
+        completion_time,
+        targets_reached,
+        totals,
+    }
+}
+
 /// Runs a stack until the mission-progress topic reaches `target_progress`
 /// (if given) or `max_time` elapses.  Trajectory samples are recorded every
 /// discrete instant from the ground-truth topic.
@@ -83,126 +210,74 @@ pub fn run_stack(
     target_progress: Option<i64>,
     schedule: JitterSchedule,
 ) -> RunOutcome {
-    let config = ExecutorConfig {
-        schedule,
-        record_trace: false,
-        monitor_invariants: true,
-    };
-    run_stack_with_config(system, handle, max_time, target_progress, config)
+    fly_drone(system, handle, max_time, target_progress, schedule).0
 }
 
-fn run_stack_with_config(
+/// Flies a single-drone stack through [`fly`], sampling the battery
+/// profile and the battery module's switch charge on the way, and reads
+/// the plant back at the end.
+fn fly_drone(
     system: RtaSystem,
     handle: PlantHandle,
     max_time: f64,
     target_progress: Option<i64>,
-    config: ExecutorConfig,
-) -> RunOutcome {
-    // When the motion primitive is not wrapped in an RTA module (AC-only or
-    // SC-only baselines), the "safe mode" annotation of the trajectory is
-    // constant: true when only the safe controller is present.
-    let unprotected_safe_mode = system.free_nodes().iter().any(|n| n.name() == "mpr_sc");
-    let mut exec = Executor::with_config(system, config);
-    let mut trajectory = Trajectory::new();
-    let mut completion_time = None;
+    schedule: JitterSchedule,
+) -> (RunOutcome, Totals) {
+    let drone = Watched::mission(&system, target_progress);
+    let battery = module_index(&system, "battery_safety");
     let mut profile = Vec::new();
     let mut last_profile_sample = -1.0f64;
     let mut battery_prev_mode: Option<Mode> = None;
     let mut battery_switch_charge = None;
-    while let Some(now) = exec.step_instant() {
-        let t = now.as_secs_f64();
-        if t > max_time {
-            break;
-        }
-        if let Some(truth) = exec
-            .topic(topics::GROUND_TRUTH)
-            .and_then(topics::value_to_state)
-        {
-            let safe_mode = exec
-                .module_mode("safe_motion_primitive")
-                .map(|m| m == Mode::Sc)
-                .unwrap_or(unprotected_safe_mode);
-            trajectory.push(t, truth, safe_mode);
+    let watched = std::slice::from_ref(&drone);
+    let mut flight = fly(system, schedule, max_time, watched, |exec, t, observed| {
+        let charge = || exec.topic(topics::BATTERY_CHARGE).and_then(Value::as_float);
+        if let [position] = observed {
             if t - last_profile_sample >= 0.5 {
-                let charge = exec
-                    .topic(topics::BATTERY_CHARGE)
-                    .and_then(Value::as_float)
-                    .unwrap_or(1.0);
-                profile.push((t, truth.position.z, charge));
+                profile.push((t, position.z, charge().unwrap_or(1.0)));
                 last_profile_sample = t;
             }
         }
-        if let Some(mode) = exec.module_mode("battery_safety") {
+        if let Some(b) = battery {
+            let mode = exec.system().modules()[b].mode();
             if battery_prev_mode == Some(Mode::Ac)
                 && mode == Mode::Sc
                 && battery_switch_charge.is_none()
             {
-                battery_switch_charge =
-                    exec.topic(topics::BATTERY_CHARGE).and_then(Value::as_float);
+                battery_switch_charge = charge();
             }
             battery_prev_mode = Some(mode);
         }
-        if completion_time.is_none() {
-            if let Some(target) = target_progress {
-                let progress = exec
-                    .topic(topics::MISSION_PROGRESS)
-                    .and_then(Value::as_int)
-                    .unwrap_or(0);
-                if progress >= target {
-                    completion_time = Some(t);
-                    break;
-                }
-            }
-        }
-    }
-    let targets_reached = exec
-        .topic(topics::MISSION_PROGRESS)
-        .and_then(Value::as_int)
-        .unwrap_or(0)
-        .max(0) as usize;
-    let invariant_violations: usize = exec.monitors().iter().map(|m| m.violations().len()).sum();
-    let mpr = exec
-        .system()
-        .modules()
-        .iter()
-        .find(|m| m.name() == "safe_motion_primitive");
-    let (mpr_dis, mpr_re) = mpr
-        .map(|m| (m.dm().disengagement_count(), m.dm().reengagement_count()))
+    });
+    let exec = &flight.exec;
+    let (mpr_disengagements, mpr_reengagements) = drone
+        .module
+        .map(|m| {
+            let dm = exec.system().modules()[m].dm();
+            (dm.disengagement_count(), dm.reengagement_count())
+        })
         .unwrap_or((0, 0));
-    let (mpr_interventions, time_in_sc) = mpr
-        .map(|m| (m.interventions(), m.dm().time_in_sc(exec.now())))
-        .unwrap_or((0, soter_core::time::Duration::ZERO));
-    let total_mode_switches: usize = exec
-        .system()
-        .modules()
-        .iter()
-        .map(|m| m.dm().disengagement_count() + m.dm().reengagement_count())
-        .sum();
-    let trace_digest = exec.trace().digest();
-    let trace_events = exec.trace().recorded_events();
     let plant = handle.lock().unwrap_or_else(PoisonError::into_inner);
-    RunOutcome {
-        trajectory,
-        completion_time,
-        targets_reached,
-        invariant_violations,
-        mpr_disengagements: mpr_dis,
-        mpr_reengagements: mpr_re,
-        mpr_interventions,
-        time_in_sc,
-        total_mode_switches,
+    let run = RunOutcome {
+        trajectory: flight.trajectories.pop().expect("one watched drone"),
+        completion_time: flight.completion_time,
+        targets_reached: flight.targets_reached[0],
+        mpr_disengagements,
+        mpr_reengagements,
         distance_flown: plant.distance_flown(),
         final_charge: plant.battery_charge(),
         landed: plant.is_landed(),
         profile,
         battery_switch_charge,
-        trace_digest,
-        trace_events,
-    }
+        trace_digest: exec.trace().digest(),
+        trace_events: exec.trace().recorded_events(),
+    };
+    (run, flight.totals)
 }
 
-/// Re-runs a mission scenario sequentially and tallies the motion-primitive
-/// module's mode-switch reasons, in first-occurrence order.  The falsifier
+/// Re-runs a mission scenario sequentially to its horizon, ignoring its
+/// completion target, and tallies the motion-primitive module's
+/// mode-switch reasons, in first-occurrence order.  The falsifier
 /// attaches this breakdown to its counterexamples, so a pinned crash names
 /// the oracle checks that fired around it.  Planner-query and fleet
 /// scenarios have no single motion-primitive module and yield no breakdown.
@@ -215,15 +290,14 @@ pub(crate) fn mpr_switch_reasons(
     if scenario.fleet.is_some() || matches!(scenario.mission, MissionSpec::PlannerQueries { .. }) {
         return Vec::new();
     }
-    let exec = fly_to_horizon(scenario, cache);
+    let (system, ..) = build_mission(scenario, &scenario.workspace.build(), cache);
+    let drone = Watched::mission(&system, None);
+    let module = drone.module;
+    let schedule = scenario.jitter.model(scenario.seed);
+    let flight = fly(system, schedule, scenario.horizon, &[drone], |_, _, _| {});
     let mut counts: Vec<(SwitchReason, usize)> = Vec::new();
-    if let Some(module) = exec
-        .system()
-        .modules()
-        .iter()
-        .find(|m| m.name() == "safe_motion_primitive")
-    {
-        for switch in module.dm().switches() {
+    if let Some(m) = module {
+        for switch in flight.exec.system().modules()[m].dm().switches() {
             match counts.iter_mut().find(|(r, _)| *r == switch.reason) {
                 Some((_, n)) => *n += 1,
                 None => counts.push((switch.reason, 1)),
@@ -231,19 +305,6 @@ pub(crate) fn mpr_switch_reasons(
         }
     }
     counts
-}
-
-/// Flies a mission scenario to its horizon, ignoring its completion target,
-/// and returns the executor so callers can inspect the decision modules.
-fn fly_to_horizon(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> Executor {
-    let prepared = prepare_mission(scenario, cache);
-    let mut exec = Executor::with_config(prepared.system, prepared.config);
-    while let Some(now) = exec.step_instant() {
-        if now.as_secs_f64() > scenario.horizon {
-            break;
-        }
-    }
-    exec
 }
 
 /// Counts collision *episodes* (entering collision), not samples — the
@@ -262,7 +323,10 @@ pub fn collision_episodes(trajectory: &Trajectory, workspace: &Workspace) -> usi
     crashes
 }
 
-/// The summarised result of running one scenario.
+/// The summarised result of running one scenario.  It is the one home of
+/// the run's totals — invariant violations, mode switches, interventions
+/// and time in SC; [`RunOutcome`] and [`crate::fleet::FleetOutcome`] hold
+/// only per-vehicle detail.
 #[derive(Debug)]
 pub struct ScenarioOutcome {
     /// The scenario name.
@@ -273,10 +337,11 @@ pub struct ScenarioOutcome {
     /// trajectory and the summary statistics below.  Equal digests mean
     /// behaviourally identical runs; golden-trace regression pins these.
     pub digest: u64,
-    /// Executor-run detail (`None` for planner-query scenarios).
+    /// Single-drone run detail (`None` for planner-query and airspace
+    /// scenarios).
     pub run: Option<RunOutcome>,
     /// Mission metrics over the ground-truth trajectory (`None` for
-    /// planner-query scenarios).
+    /// planner-query and airspace scenarios).
     pub metrics: Option<MissionMetrics>,
     /// Planner-query report (`None` for executor-run scenarios).
     pub planner: Option<PlannerRtaReport>,
@@ -299,12 +364,15 @@ pub struct ScenarioOutcome {
     pub fleet: Option<crate::fleet::FleetOutcome>,
     /// Safety-filter interventions (RTAEval's intervention count): AC→SC
     /// disengagements plus ASIF command clips, summed over the
-    /// motion-primitive modules (0 for planner-query scenarios).
+    /// motion-primitive modules (0 for unprotected drones and planner-query
+    /// scenarios).
     pub interventions: usize,
     /// Total time spent under safe control by the motion-primitive
-    /// modules — RTAEval's conservatism metric (zero for planner-query
+    /// modules, µs-exact from the decision modules' switch histories —
+    /// RTAEval's conservatism metric: a filter that barely hands control to
+    /// the SC scores low (zero for unprotected drones and planner-query
     /// scenarios).
-    pub time_in_sc: soter_core::time::Duration,
+    pub time_in_sc: Duration,
 }
 
 impl ScenarioOutcome {
@@ -348,63 +416,29 @@ pub fn run_scenario_cached(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) 
     }
 }
 
-/// What a mission scenario needs before its executor starts: the built
-/// stack plus the completion bookkeeping of [`run_mission`].
-struct PreparedMission {
-    workspace: Workspace,
-    system: RtaSystem,
-    handle: PlantHandle,
-    config: ExecutorConfig,
-    target: Option<i64>,
-    /// The closed circuit reference polyline (circuit missions only).
-    reference: Option<Vec<Vec3>>,
-    looping: bool,
-}
-
-fn prepare_mission(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> PreparedMission {
-    let mission = &scenario.mission;
-    let workspace = scenario.workspace.build();
-    let mut config = scenario.stack_config(&workspace);
+/// Builds a mission scenario's stack.  Returns the system, its plant, the
+/// mission-progress target and, for circuits, the closed reference
+/// polyline.
+fn build_mission(
+    scenario: &Scenario,
+    workspace: &Workspace,
+    cache: Option<&Arc<PlanCache>>,
+) -> (RtaSystem, PlantHandle, Option<i64>, Option<Vec<Vec3>>) {
+    let mut config = scenario.stack_config(workspace);
     config.plan_cache = cache.map(Arc::clone);
-    let jitter = scenario.jitter.model(scenario.seed);
-    let exec_config = ExecutorConfig {
-        schedule: jitter,
-        record_trace: false,
-        monitor_invariants: true,
-    };
-    match mission {
-        MissionSpec::CircuitLoop | MissionSpec::CircuitLap => {
+    match &scenario.mission {
+        mission @ (MissionSpec::CircuitLoop | MissionSpec::CircuitLap) => {
             let looping = matches!(mission, MissionSpec::CircuitLoop);
             let waypoints = workspace.surveillance_points().to_vec();
-            let target = if looping {
-                None
-            } else {
-                Some(waypoints.len() as i64)
-            };
+            let target = (!looping).then_some(waypoints.len() as i64);
             let (system, handle) = build_circuit_stack(&config, waypoints.clone(), looping);
-            let mut reference = waypoints.clone();
-            reference.push(waypoints[0]);
-            PreparedMission {
-                workspace,
-                system,
-                handle,
-                config: exec_config,
-                target,
-                reference: Some(reference),
-                looping,
-            }
+            let mut reference = waypoints;
+            reference.push(reference[0]);
+            (system, handle, target, Some(reference))
         }
         MissionSpec::Surveillance { policy, targets } => {
             let (system, handle) = build_full_stack(&config, policy.build(scenario.seed));
-            PreparedMission {
-                workspace,
-                system,
-                handle,
-                config: exec_config,
-                target: *targets,
-                reference: None,
-                looping: false,
-            }
+            (system, handle, *targets, None)
         }
         MissionSpec::PlannerQueries { .. } => {
             unreachable!("planner queries never reach the mission path")
@@ -412,63 +446,49 @@ fn prepare_mission(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> Prepa
     }
 }
 
-/// Runs a mission scenario through [`run_stack`]'s loop and summarises it:
+/// Flies a mission scenario through [`fly_drone`] and summarises it:
 /// metrics, safety, completion and the deterministic digest.
 fn run_mission(scenario: &Scenario, cache: Option<&Arc<PlanCache>>) -> ScenarioOutcome {
-    let PreparedMission {
-        workspace,
-        system,
-        handle,
-        config,
-        target,
-        reference,
-        looping,
-    } = prepare_mission(scenario, cache);
-    let outcome = run_stack_with_config(system, handle, scenario.horizon, target, config);
+    let workspace = scenario.workspace.build();
+    let (system, handle, target, reference) = build_mission(scenario, &workspace, cache);
+    let schedule = scenario.jitter.model(scenario.seed);
+    let (run, totals) = fly_drone(system, handle, scenario.horizon, target, schedule);
     let max_deviation = reference
         .as_ref()
-        .map(|r| outcome.trajectory.max_deviation_from_polyline(r));
-    let completed = match (&reference, looping, target) {
-        (Some(_), true, _) => true,
-        (Some(_), false, _) => outcome.completion_time.is_some(),
-        (None, _, Some(n)) => outcome.targets_reached as i64 >= n,
-        (None, _, None) => true,
+        .map(|r| run.trajectory.max_deviation_from_polyline(r));
+    // A lap completes when its last waypoint is reached within the
+    // horizon; a target count when the progress topic ends at or past it.
+    let completed = match target {
+        None => true,
+        Some(_) if reference.is_some() => run.completion_time.is_some(),
+        Some(n) => run.targets_reached as i64 >= n,
     };
-    let metrics = MissionMetrics::from_trajectory(&outcome.trajectory, &workspace, completed);
-    let safety_violations = collision_episodes(&outcome.trajectory, &workspace);
-    let digest = digest_mission(scenario, &outcome, &metrics, safety_violations);
+    let metrics = MissionMetrics::from_trajectory(&run.trajectory, &workspace, completed);
+    let safety_violations = collision_episodes(&run.trajectory, &workspace);
+    let digest = digest_mission(scenario, &run, &totals, &metrics, safety_violations);
     ScenarioOutcome {
         scenario: scenario.name.clone(),
         seed: scenario.seed,
         digest,
         safety_violations,
         separation_violations: 0,
-        invariant_violations: outcome.invariant_violations,
-        mode_switches: outcome.total_mode_switches,
+        invariant_violations: totals.invariant_violations,
+        mode_switches: totals.mode_switches,
         completed,
         max_deviation,
         metrics: Some(metrics),
         planner: None,
-        interventions: outcome.mpr_interventions,
-        time_in_sc: outcome.time_in_sc,
-        run: Some(outcome),
+        interventions: totals.interventions,
+        time_in_sc: totals.time_in_sc,
+        run: Some(run),
         fleet: None,
     }
 }
 
-fn digest_mission(
-    scenario: &Scenario,
-    outcome: &RunOutcome,
-    metrics: &MissionMetrics,
-    safety_violations: usize,
-) -> u64 {
-    let mut h = TraceHasher::new();
-    h.write_str(&scenario.name);
-    h.write_u64(scenario.seed);
-    h.write_u64(outcome.trace_digest);
-    h.write_u64(outcome.trace_events);
-    h.write_u64(outcome.trajectory.len() as u64);
-    for s in outcome.trajectory.samples() {
+/// Hashes a trajectory into a run digest: its length, then every sample.
+pub(crate) fn hash_trajectory(h: &mut TraceHasher, trajectory: &Trajectory) {
+    h.write_u64(trajectory.len() as u64);
+    for s in trajectory.samples() {
         h.write_f64(s.time);
         h.write_f64(s.state.position.x);
         h.write_f64(s.state.position.y);
@@ -476,13 +496,28 @@ fn digest_mission(
         h.write_f64(s.state.velocity.x);
         h.write_f64(s.state.velocity.y);
         h.write_f64(s.state.velocity.z);
-        h.write_u8(s.safe_mode as u8);
+        h.write_bool(s.safe_mode);
     }
-    h.write_u64(outcome.targets_reached as u64);
-    h.write_u64(outcome.invariant_violations as u64);
-    h.write_u64(outcome.total_mode_switches as u64);
+}
+
+fn digest_mission(
+    scenario: &Scenario,
+    run: &RunOutcome,
+    totals: &Totals,
+    metrics: &MissionMetrics,
+    safety_violations: usize,
+) -> u64 {
+    let mut h = TraceHasher::new();
+    h.write_str(&scenario.name);
+    h.write_u64(scenario.seed);
+    h.write_u64(run.trace_digest);
+    h.write_u64(run.trace_events);
+    hash_trajectory(&mut h, &run.trajectory);
+    h.write_u64(run.targets_reached as u64);
+    h.write_u64(totals.invariant_violations as u64);
+    h.write_u64(totals.mode_switches as u64);
     h.write_u64(safety_violations as u64);
-    match outcome.completion_time {
+    match run.completion_time {
         Some(t) => {
             h.write_u8(1);
             h.write_f64(t);
@@ -491,9 +526,9 @@ fn digest_mission(
             h.write_u8(0);
         }
     }
-    h.write_f64(outcome.distance_flown);
-    h.write_f64(outcome.final_charge);
-    h.write_u8(outcome.landed as u8);
+    h.write_f64(run.distance_flown);
+    h.write_f64(run.final_charge);
+    h.write_u8(run.landed as u8);
     h.write_f64(metrics.ac_fraction);
     h.finish()
 }
@@ -615,7 +650,7 @@ fn run_planner_queries(
         planner: Some(report),
         fleet: None,
         interventions: 0,
-        time_in_sc: soter_core::time::Duration::ZERO,
+        time_in_sc: Duration::ZERO,
     }
 }
 
@@ -795,7 +830,10 @@ mod tests {
         ] {
             for filter in FilterKind::ALL {
                 let scenario = base.clone().with_filter(filter);
-                let exec = fly_to_horizon(&scenario, None);
+                let (system, ..) = build_mission(&scenario, &scenario.workspace.build(), None);
+                let drone = Watched::mission(&system, None);
+                let schedule = scenario.jitter.model(scenario.seed);
+                let exec = fly(system, schedule, scenario.horizon, &[drone], |_, _, _| {}).exec;
                 for module in exec.system().modules() {
                     let delta = module.dm().delta();
                     let switches = module.dm().switches();

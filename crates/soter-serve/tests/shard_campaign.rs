@@ -78,7 +78,7 @@ fn killed_worker_campaign_is_byte_identical_to_in_process_over_the_golden_suite(
 
     assert_reports_identical(&sharded, &in_process);
     assert_eq!(sharded.workers, 4);
-    // All 24 golden digests survive the kill + re-issue unchanged.
+    // All 30 golden digests survive the kill + re-issue unchanged.
     let digests: Vec<(String, u64)> = sharded
         .records
         .iter()
@@ -103,7 +103,7 @@ fn killed_worker_campaign_is_byte_identical_to_in_process_over_the_golden_suite(
         std::fs::create_dir_all(parent).expect("report directory");
     }
     let mut artifact = String::new();
-    artifact.push_str("sharded campaign: 24-run golden suite over 4 worker processes\n");
+    artifact.push_str("sharded campaign: 30-run golden suite over 4 worker processes\n");
     artifact.push_str("fault injected: worker #0 killed after 1 record; shard re-issued\n");
     artifact.push_str("merged report byte-identical to in-process Campaign::run: yes\n\n");
     artifact.push_str(&sharded.summary());

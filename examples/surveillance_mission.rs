@@ -25,7 +25,10 @@ fn main() {
         "time in AC mode            : {:.1} %",
         100.0 * metrics.ac_fraction
     );
-    println!("invariant violations       : {}", run.invariant_violations);
+    println!(
+        "invariant violations       : {}",
+        outcome.invariant_violations
+    );
     assert_eq!(
         metrics.collisions, 0,
         "the protected stack must stay collision-free"

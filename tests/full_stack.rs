@@ -9,12 +9,14 @@ use soter::scenarios::spec::Scenario;
 use soter::sim::trajectory::MissionMetrics;
 
 /// Runs a mission scenario and splits out its executor run and metrics.
-fn mission(scenario: &Scenario) -> (RunOutcome, MissionMetrics) {
-    let outcome = run_scenario(scenario);
-    (
-        outcome.run.expect("mission scenarios produce a run"),
-        outcome.metrics.expect("mission scenarios produce metrics"),
-    )
+fn mission(scenario: &Scenario) -> (ScenarioOutcome, RunOutcome, MissionMetrics) {
+    let mut outcome = run_scenario(scenario);
+    let run = outcome.run.take().expect("mission scenarios produce a run");
+    let metrics = outcome
+        .metrics
+        .take()
+        .expect("mission scenarios produce metrics");
+    (outcome, run, metrics)
 }
 
 #[test]
@@ -38,13 +40,13 @@ fn unprotected_aggressive_controller_is_unsafe() {
 fn rta_protected_circuit_is_safe_and_faster_than_sc_only() {
     // Fig. 12a / Sec. V-A: AC-only is fastest but unsafe; SC-only is safe but
     // slow; the RTA configuration is safe and sits in between.
-    let (rta, rta_metrics) = mission(&catalog::fig12a(Protection::Rta, 3, 300.0));
-    let (sc, sc_metrics) = mission(&catalog::fig12a(Protection::ScOnly, 3, 300.0));
-    let (ac, _) = mission(&catalog::fig12a(Protection::AcOnly, 3, 300.0));
+    let (rta_outcome, rta, rta_metrics) = mission(&catalog::fig12a(Protection::Rta, 3, 300.0));
+    let (_, sc, sc_metrics) = mission(&catalog::fig12a(Protection::ScOnly, 3, 300.0));
+    let (_, ac, _) = mission(&catalog::fig12a(Protection::AcOnly, 3, 300.0));
     assert_eq!(rta_metrics.collisions, 0, "RTA must be collision-free");
     assert_eq!(sc_metrics.collisions, 0, "SC-only must be collision-free");
     assert_eq!(
-        rta.invariant_violations, 0,
+        rta_outcome.invariant_violations, 0,
         "Theorem 3.1 must hold under the ideal calendar"
     );
     let t_rta = rta.completion_time.expect("RTA lap completes");
@@ -69,19 +71,19 @@ fn rta_protected_surveillance_mission_completes_safely() {
     // Fig. 12b: the full stack visits surveillance targets with zero
     // ground-truth collisions and the advanced controller in command for the
     // majority of the mission.
-    let (run, metrics) = mission(&catalog::fig12b(7, 4, 300.0));
+    let (outcome, run, metrics) = mission(&catalog::fig12b(7, 4, 300.0));
     assert!(
         run.targets_reached >= 4,
         "mission must make progress: {metrics:?}"
     );
     assert_eq!(metrics.collisions, 0, "φ_mpr must hold: {metrics:?}");
     assert!(metrics.ac_fraction > 0.5, "AC should dominate: {metrics:?}");
-    assert_eq!(run.invariant_violations, 0);
+    assert_eq!(outcome.invariant_violations, 0);
 }
 
 #[test]
 fn sc_only_circuit_never_disengages() {
-    let (run, metrics) = mission(&catalog::fig12a(Protection::ScOnly, 5, 300.0));
+    let (_, run, metrics) = mission(&catalog::fig12a(Protection::ScOnly, 5, 300.0));
     assert_eq!(metrics.collisions, 0);
     assert_eq!(
         run.mpr_disengagements, 0,

@@ -26,7 +26,7 @@ fn vm_surveillance_completes_safely() {
     let outcome = run_scenario(&catalog::vm_surveillance(7, 2, 150.0));
     let run = outcome.run.expect("surveillance scenarios produce a run");
     assert_eq!(
-        run.invariant_violations, 0,
+        outcome.invariant_violations, 0,
         "the DM keeps the VM-hosted AC safe"
     );
     assert!(
