@@ -32,6 +32,12 @@
 //! Cache hits occur exactly when instances share a query-history prefix —
 //! e.g. falsifier candidates before their jitter windows open, or shrink
 //! steps that re-fly an unchanged approach path.
+//!
+//! A cache never leaves its process.  Every transition in it was recorded
+//! by a local miss, together with the snapshot of the state it leads to,
+//! so every state a [`CachedPlanner`] can reach has a snapshot to plan
+//! from.  Sharded campaigns (`soter-serve`) give each worker process one
+//! cache, shared by every job that process runs.
 
 use crate::traits::MotionPlanner;
 use soter_sim::vec3::Vec3;
@@ -145,102 +151,11 @@ type StateKey = u64;
 /// state key of the planner afterwards.
 type Transition = (Option<Vec<Vec3>>, StateKey);
 
-/// One chain transition in serializable form: everything another process
-/// needs to answer the same query from the same history without running a
-/// planner.  Snapshots are **not** shipped — an importer that misses past
-/// imported transitions rebuilds the snapshot by replaying its own query
-/// history from the chain root (see [`CachedPlanner`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanEntry {
-    /// Chain state the query was asked in.
-    pub state: u64,
-    /// The query key (workspace fingerprint + start + goal fold).
-    pub query: u64,
-    /// Chain state after the query.
-    pub next: u64,
-    /// The recorded answer (`None` = the planner found no path).
-    pub plan: Option<Vec<Vec3>>,
-}
-
-impl PlanEntry {
-    /// Renders the entry as one whitespace-separated ASCII line.  f64
-    /// coordinates are written as their exact bit patterns in hex, so a
-    /// round trip through text reproduces the plan bit-for-bit — the same
-    /// requirement golden traces place on records.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut line = format!("{:016x} {:016x} {:016x}", self.state, self.query, self.next);
-        match &self.plan {
-            None => line.push_str(" none"),
-            Some(points) => {
-                let _ = write!(line, " {}", points.len());
-                for p in points {
-                    for c in [p.x, p.y, p.z] {
-                        let _ = write!(line, " {:016x}", c.to_bits());
-                    }
-                }
-            }
-        }
-        line
-    }
-
-    /// Parses a line produced by [`PlanEntry::to_text`].  Strict: any
-    /// malformed, missing, or trailing token is an error, never a guess.
-    pub fn parse(line: &str) -> Result<PlanEntry, String> {
-        let mut words = line.split_whitespace();
-        let mut key = |what: &str| -> Result<u64, String> {
-            let w = words.next().ok_or_else(|| format!("missing {what}"))?;
-            u64::from_str_radix(w, 16).map_err(|_| format!("bad {what} `{w}`"))
-        };
-        let state = key("state key")?;
-        let query = key("query key")?;
-        let next = key("successor key")?;
-        let plan = match words.next() {
-            None => return Err("missing plan payload".into()),
-            Some("none") => None,
-            Some(count) => {
-                let count: usize = count
-                    .parse()
-                    .map_err(|_| format!("bad waypoint count `{count}`"))?;
-                // `count` is untrusted: preallocate no more waypoints
-                // than the rest of the line could hold (three words and
-                // three separators each).
-                let mut points = Vec::with_capacity(count.min(line.len() / 6));
-                for i in 0..count {
-                    let mut coord = |axis: &str| -> Result<f64, String> {
-                        let w = words
-                            .next()
-                            .ok_or_else(|| format!("waypoint {i}: missing {axis}"))?;
-                        u64::from_str_radix(w, 16)
-                            .map(f64::from_bits)
-                            .map_err(|_| format!("waypoint {i}: bad {axis} `{w}`"))
-                    };
-                    points.push(Vec3::new(coord("x")?, coord("y")?, coord("z")?));
-                }
-                Some(points)
-            }
-        };
-        if let Some(extra) = words.next() {
-            return Err(format!("trailing token `{extra}`"));
-        }
-        Ok(PlanEntry {
-            state,
-            query,
-            next,
-            plan,
-        })
-    }
-}
-
 struct PlanCacheInner {
     /// `(state, query) -> (recorded answer, successor state)`.
     transitions: HashMap<(StateKey, u64), Transition>,
     /// Planner snapshots, one per reached state.
     snapshots: HashMap<StateKey, Box<dyn SnapshotPlanner>>,
-    /// Locally-computed transitions in insertion order, for incremental
-    /// export.  Imported entries are deliberately absent so importers never
-    /// echo entries back to their source.
-    log: Vec<PlanEntry>,
 }
 
 /// A shared snapshot-chain planner-query cache (see the module docs).
@@ -248,7 +163,6 @@ pub struct PlanCache {
     inner: Mutex<PlanCacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    rebuilds: AtomicU64,
 }
 
 impl fmt::Debug for PlanCache {
@@ -273,11 +187,9 @@ impl PlanCache {
             inner: Mutex::new(PlanCacheInner {
                 transitions: HashMap::new(),
                 snapshots: HashMap::new(),
-                log: Vec::new(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            rebuilds: AtomicU64::new(0),
         }
     }
 
@@ -291,52 +203,18 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Snapshot rebuilds: misses at an imported (snapshot-less) state that
-    /// replayed the query history from the chain root.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds.load(Ordering::Relaxed)
-    }
-
     /// Distinct planner states recorded across all chains.
     pub fn states(&self) -> usize {
         self.inner.lock().expect("plan cache lock").snapshots.len()
     }
 
-    /// Total recorded transitions (local and imported).
+    /// Total recorded transitions.
     pub fn transitions(&self) -> usize {
         self.inner
             .lock()
             .expect("plan cache lock")
             .transitions
             .len()
-    }
-
-    /// Copies the locally-computed transitions recorded since a previous
-    /// export cursor (0 for everything), returning the new cursor and the
-    /// fresh entries.  Imported entries never appear here, so a worker that
-    /// exports after every job ships each transition to the coordinator at
-    /// most once and never echoes back what it was pre-seeded with.
-    pub fn export_since(&self, cursor: usize) -> (usize, Vec<PlanEntry>) {
-        let inner = self.inner.lock().expect("plan cache lock");
-        let fresh = inner.log.get(cursor..).unwrap_or_default().to_vec();
-        (inner.log.len(), fresh)
-    }
-
-    /// Imports transitions computed elsewhere, skipping any `(state, query)`
-    /// pair already present (racing computations record identical results,
-    /// so first-wins is safe).  Returns how many entries were new.
-    pub fn import(&self, entries: &[PlanEntry]) -> usize {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        let mut fresh = 0;
-        for e in entries {
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                inner.transitions.entry((e.state, e.query))
-            {
-                slot.insert((e.plan.clone(), e.next));
-                fresh += 1;
-            }
-        }
-        fresh
     }
 
     fn ensure_root(&self, root: StateKey, planner: &dyn SnapshotPlanner) {
@@ -357,11 +235,6 @@ pub struct CachedPlanner {
     /// Kept only for [`MotionPlanner::name`] (the chain snapshots carry
     /// the live state).
     name: String,
-    /// Every query asked since the chain root, hits included.  When a miss
-    /// lands on a state that has no snapshot (reachable only through
-    /// *imported* transitions), the snapshot is rebuilt by replaying this
-    /// history on a clone of the root snapshot.
-    history: Vec<(Workspace, Vec3, Vec3)>,
 }
 
 impl CachedPlanner {
@@ -376,34 +249,7 @@ impl CachedPlanner {
             cache,
             root: identity,
             state: identity,
-            history: Vec::new(),
         }
-    }
-
-    /// Rebuilds the planner snapshot for the current state by replaying the
-    /// query history on a clone of the chain-root snapshot.  Only reachable
-    /// when the current state was entered through imported transitions
-    /// (local misses always store a snapshot); the rebuilt snapshot is
-    /// stored so later misses at this state skip the replay.
-    fn rebuild_snapshot(&self) -> Box<dyn SnapshotPlanner> {
-        self.cache.rebuilds.fetch_add(1, Ordering::Relaxed);
-        let mut planner = {
-            let inner = self.cache.inner.lock().expect("plan cache lock");
-            inner
-                .snapshots
-                .get(&self.root)
-                .expect("chain invariant: the root always has a snapshot")
-                .clone_box()
-        };
-        for (workspace, start, goal) in &self.history {
-            let _ = planner.plan(workspace, *start, *goal);
-        }
-        let mut inner = self.cache.inner.lock().expect("plan cache lock");
-        inner
-            .snapshots
-            .entry(self.state)
-            .or_insert_with(|| planner.clone_box());
-        planner
     }
 }
 
@@ -423,43 +269,35 @@ impl MotionPlanner for CachedPlanner {
             .f64(goal.z)
             .finish();
         // Hit: advance along the chain without touching a planner.
-        let snapshot = {
+        let mut planner = {
             let inner = self.cache.inner.lock().expect("plan cache lock");
             if let Some((plan, next)) = inner.transitions.get(&(self.state, query)) {
-                let plan = plan.clone();
                 self.state = *next;
                 self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                drop(inner);
-                self.history.push((workspace.clone(), start, goal));
-                return plan;
+                return plan.clone();
             }
-            inner.snapshots.get(&self.state).map(|s| s.clone_box())
+            inner
+                .snapshots
+                .get(&self.state)
+                .expect("chain invariant: every reachable state has a snapshot")
+                .clone_box()
         };
         // Miss: plan on a clone of the snapshot at this history, with the
-        // lock released — other instances keep hitting concurrently.  A
-        // state entered through imported transitions has no snapshot yet;
-        // rebuild one by replaying the history from the root.
+        // lock released — other instances keep hitting concurrently.
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
-        let mut planner = snapshot.unwrap_or_else(|| self.rebuild_snapshot());
         let plan = planner.plan(workspace, start, goal);
         let next = KeyHasher::new().u64(self.state).u64(query).finish();
         {
             let mut inner = self.cache.inner.lock().expect("plan cache lock");
             // A racing miss stores the identical result first: keep it.
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                inner.transitions.entry((self.state, query))
-            {
-                slot.insert((plan.clone(), next));
-                inner.log.push(PlanEntry {
-                    state: self.state,
-                    query,
-                    next,
-                    plan: plan.clone(),
-                });
-            }
+            // The transition and its successor's snapshot go in under one
+            // lock, so a hit never lands on a state without a snapshot.
+            inner
+                .transitions
+                .entry((self.state, query))
+                .or_insert_with(|| (plan.clone(), next));
             inner.snapshots.entry(next).or_insert(planner);
         }
-        self.history.push((workspace.clone(), start, goal));
         self.state = next;
         plan
     }
@@ -467,7 +305,6 @@ impl MotionPlanner for CachedPlanner {
     fn reset(&mut self) {
         // A reset planner is exactly a fresh planner: rewind to the root.
         self.state = self.root;
-        self.history.clear();
     }
 }
 
@@ -559,8 +396,18 @@ mod tests {
         // Round 0 misses every query; round 1 hits every query.
         assert_eq!(cache.misses(), 3);
         assert_eq!(cache.hits(), 3);
-        let (_, entries) = cache.export_since(0);
-        assert_eq!(entries[1].plan, None, "the doomed query records no plan");
+        // The recorded doomed transition is `None`: a hit round answers
+        // it with one more hit and no planner run.
+        let mut cached =
+            CachedPlanner::new(Box::new(RrtStar::new(config)), identity, Arc::clone(&cache));
+        let _ = cached.plan(&workspace, queries[0].0, queries[0].1);
+        let (hits, misses) = (cache.hits(), cache.misses());
+        assert_eq!(
+            cached.plan(&workspace, queries[1].0, queries[1].1),
+            None,
+            "the doomed query records no plan"
+        );
+        assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses));
     }
 
     /// Distinct histories must not alias: the same query asked first vs
@@ -611,137 +458,6 @@ mod tests {
         assert_eq!(first, again);
         assert_eq!(cache.misses(), 1, "the rewound query is a chain hit");
         assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn plan_entry_text_round_trips_bit_for_bit() {
-        let awkward = Vec3::new(0.1 + 0.2, -0.0, f64::MIN_POSITIVE);
-        for entry in [
-            PlanEntry {
-                state: 0xdead_beef_0102_0304,
-                query: 7,
-                next: u64::MAX,
-                plan: Some(vec![awkward, Vec3::new(1.5, -2.25, 3e300)]),
-            },
-            PlanEntry {
-                state: 0,
-                query: 0,
-                next: 1,
-                plan: None,
-            },
-        ] {
-            let parsed = PlanEntry::parse(&entry.to_text()).expect("round trip parses");
-            assert_eq!(parsed, entry);
-            assert_eq!(
-                parsed.plan.as_ref().map(|p| p
-                    .iter()
-                    .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
-                    .collect::<Vec<_>>()),
-                entry.plan.as_ref().map(|p| p
-                    .iter()
-                    .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
-                    .collect::<Vec<_>>()),
-                "coordinates must survive as exact bit patterns"
-            );
-        }
-        for bad in [
-            "",
-            "0102",
-            "01 02 03",
-            "01 02 03 2 aa bb cc",
-            "01 02 03 none extra",
-            "zz 02 03 none",
-        ] {
-            assert!(PlanEntry::parse(bad).is_err(), "`{bad}` must not parse");
-        }
-    }
-
-    /// The waypoint count comes off the wire: a huge one must be a parse
-    /// error, not a capacity-overflow panic or a terabyte allocation.
-    #[test]
-    fn an_untrusted_waypoint_count_is_an_error_not_an_allocation() {
-        for count in [u64::MAX, 1 << 40] {
-            let line = format!("0 0 0 {count}");
-            assert!(PlanEntry::parse(&line).is_err(), "`{line}` must not parse");
-        }
-    }
-
-    /// The cross-process story: a cache primed in one process is exported,
-    /// imported elsewhere, and answers the same history from hits; a miss
-    /// *past* the imported prefix rebuilds the missing snapshot by replay
-    /// and still matches the uncached planner exactly.
-    #[test]
-    fn imported_entries_hit_and_rebuild_preserves_answers() {
-        let workspace = Workspace::city_block();
-        let config = RrtStarConfig {
-            seed: 11,
-            ..RrtStarConfig::default()
-        };
-        let mut direct = RrtStar::new(config);
-        let expected: Vec<_> = query_sequence()
-            .into_iter()
-            .map(|(a, b)| direct.plan(&workspace, a, b))
-            .collect();
-        let identity = identity_key("rrt*", &[11, workspace_fingerprint(&workspace)]);
-
-        // Prime a source cache with the full history and export it.
-        let source = Arc::new(PlanCache::new());
-        let mut primer = CachedPlanner::new(
-            Box::new(RrtStar::new(config)),
-            identity,
-            Arc::clone(&source),
-        );
-        for (a, b) in query_sequence() {
-            let _ = primer.plan(&workspace, a, b);
-        }
-        let (cursor, entries) = source.export_since(0);
-        assert_eq!(cursor, 3);
-        assert_eq!(entries.len(), 3);
-        let (cursor2, rest) = source.export_since(cursor);
-        assert_eq!((cursor2, rest.len()), (3, 0), "nothing new since cursor");
-
-        // Ship only the first two transitions (a partial warm-up), through
-        // the text form as the wire would.
-        let shipped: Vec<_> = entries[..2]
-            .iter()
-            .map(|e| PlanEntry::parse(&e.to_text()).expect("wire round trip"))
-            .collect();
-        let dest = Arc::new(PlanCache::new());
-        assert_eq!(dest.import(&shipped), 2);
-        assert_eq!(dest.import(&shipped), 0, "re-import is idempotent");
-
-        let mut cached =
-            CachedPlanner::new(Box::new(RrtStar::new(config)), identity, Arc::clone(&dest));
-        let got: Vec<_> = query_sequence()
-            .into_iter()
-            .map(|(a, b)| cached.plan(&workspace, a, b))
-            .collect();
-        assert_eq!(got, expected, "imported prefix + rebuilt miss diverged");
-        assert_eq!(
-            dest.hits(),
-            2,
-            "the shipped prefix answers without planning"
-        );
-        assert_eq!(dest.misses(), 1);
-        assert_eq!(
-            dest.rebuilds(),
-            1,
-            "the miss past the imported prefix replays from the root"
-        );
-        // Imported entries are not re-exported.
-        let (_, fresh) = dest.export_since(0);
-        assert_eq!(fresh.len(), 1, "only the locally-computed miss exports");
-
-        // A second pass is now pure hits — the rebuilt snapshot stuck.
-        let mut again =
-            CachedPlanner::new(Box::new(RrtStar::new(config)), identity, Arc::clone(&dest));
-        let got: Vec<_> = query_sequence()
-            .into_iter()
-            .map(|(a, b)| again.plan(&workspace, a, b))
-            .collect();
-        assert_eq!(got, expected);
-        assert_eq!(dest.misses(), 1, "no new planner work on the warm pass");
-        assert_eq!(dest.rebuilds(), 1);
     }
 
     #[test]

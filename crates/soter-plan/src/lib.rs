@@ -32,9 +32,7 @@ pub mod validate;
 
 pub use astar::GridAstar;
 pub use buggy::BuggyRrtStar;
-pub use cache::{
-    identity_key, workspace_fingerprint, CachedPlanner, PlanCache, PlanEntry, SnapshotPlanner,
-};
+pub use cache::{identity_key, workspace_fingerprint, CachedPlanner, PlanCache, SnapshotPlanner};
 pub use rrt_star::{RrtStar, RrtStarConfig};
 pub use surveillance::SurveillanceApp;
 pub use traits::MotionPlanner;

@@ -3,10 +3,10 @@
 //! matrix order.
 //!
 //! One supervisor thread per shard owns that shard's worker process: a
-//! feeder thread writes `PLAN` pre-seed lines and then `RUN` lines into
-//! the worker's stdin, a reader thread parses [`WorkerMsg`]s off its
-//! stdout into a channel, and the supervisor consumes that channel with a
-//! heartbeat deadline ([`std::sync::mpsc::Receiver::recv_timeout`]).
+//! feeder thread writes `RUN` lines into the worker's stdin, a reader
+//! thread parses [`WorkerMsg`]s off its stdout into a channel, and the
+//! supervisor consumes that channel with a heartbeat deadline
+//! ([`std::sync::mpsc::Receiver::recv_timeout`]).
 //! Three failure signals move a shard through its state machine:
 //!
 //! 1. **EOF / corrupt frame** — the worker died (crash, kill, truncated
@@ -50,22 +50,19 @@
 //! the cache after the merge.  Records are merged as [`EncodedRecord`]s:
 //! a hit shares the cache slot's encoding and a fresh record is encoded
 //! once as it is merged, so the daemon writes every response frame by
-//! copying text.  Worker-discovered planner-cache entries
-//! (`PLAN` frames) are merged into a [`PlanStore`] and pre-seeded into
-//! every subsequently spawned worker — including re-issues of the same
-//! shard, so a crashed worker's replacement replans nothing its
-//! predecessor already solved.
+//! copying text.  Planner caches stay inside the workers: each worker
+//! process keeps one, shared by the jobs it runs, and the coordinator
+//! neither collects nor forwards plan state.
 
 use crate::error::ServeError;
 use crate::protocol::{CoordMsg, WorkerMsg, PROTOCOL_VERSION};
 use crate::shard::{plan_shards_over, CampaignRequest};
 use crate::worker::ENV_HEARTBEAT_MS;
-use soter_plan::PlanEntry;
 use soter_scenarios::campaign::{CampaignReport, RunRecord};
 use soter_scenarios::catalog::CatalogJob;
 use soter_scenarios::golden::EncodedRecord;
 use soter_scenarios::ResultCache;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -159,59 +156,6 @@ pub struct KillPlan {
     pub after_records: usize,
 }
 
-/// Merged planner-cache entries, shared across every worker a coordinator
-/// spawns (and, when a daemon installs one via
-/// [`ShardConfig::plan_store`], across every campaign that daemon runs).
-/// Workers ship fresh [`PlanEntry`]s upstream as `PLAN` frames; the store
-/// merges them first-wins by `(state, query)` key — mirroring
-/// [`PlanCache::import`](soter_plan::PlanCache::import), whose chain
-/// construction guarantees one successor per key — and pre-seeds the full
-/// set into each newly spawned worker.
-#[derive(Debug, Default)]
-pub struct PlanStore {
-    inner: Mutex<PlanStoreInner>,
-}
-
-#[derive(Debug, Default)]
-struct PlanStoreInner {
-    seen: HashSet<(u64, u64)>,
-    entries: Vec<PlanEntry>,
-}
-
-impl PlanStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        PlanStore::default()
-    }
-
-    /// Merges one worker-shipped entry; returns `true` when it was new.
-    pub fn merge(&self, entry: &PlanEntry) -> bool {
-        let mut inner = self.inner.lock().expect("plan store lock");
-        if inner.seen.insert((entry.state, entry.query)) {
-            inner.entries.push(entry.clone());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Every merged entry in merge order (the pre-seed stream for a new
-    /// worker).
-    pub fn snapshot(&self) -> Vec<PlanEntry> {
-        self.inner.lock().expect("plan store lock").entries.clone()
-    }
-
-    /// Number of merged entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan store lock").entries.len()
-    }
-
-    /// Whether no entry has been merged yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Execution statistics from [`ShardCoordinator::run_detailed`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
@@ -223,9 +167,6 @@ pub struct ServeStats {
     pub cache_hits: usize,
     /// Matrix indices moved between shards by work stealing.
     pub stolen: usize,
-    /// New planner-cache entries merged into the [`PlanStore`] during
-    /// this run.
-    pub plan_entries: usize,
 }
 
 /// Shared per-shard outstanding-index sets (see the module docs on work
@@ -323,10 +264,6 @@ pub struct ShardConfig {
     /// Content-addressed result cache consulted before any worker spawns
     /// and fed every fresh record after the merge.
     pub result_cache: Option<Arc<ResultCache>>,
-    /// Shared planner-cache store; `None` gives each run a private one
-    /// (workers still share entries within the run).  A daemon installs a
-    /// long-lived store here so later campaigns replan nothing.
-    pub plan_store: Option<Arc<PlanStore>>,
     /// Whether drained shards steal stragglers' tails (on by default).
     pub steal: bool,
 }
@@ -342,7 +279,6 @@ impl Default for ShardConfig {
             worker_env: Vec::new(),
             kill_plan: None,
             result_cache: None,
-            plan_store: None,
             steal: true,
         }
     }
@@ -435,12 +371,6 @@ impl ShardCoordinator {
             Some(path) => path.clone(),
             None => worker_binary()?,
         };
-        let plan_store = self
-            .config
-            .plan_store
-            .clone()
-            .unwrap_or_else(|| Arc::new(PlanStore::new()));
-        let plan_base = plan_store.len();
         let ledger = Arc::new(StealLedger::new(&plan.shards));
         let spawn_ordinal = Arc::new(AtomicUsize::new(0));
         let (rec_tx, rec_rx) = mpsc::channel::<(usize, RunRecord)>();
@@ -453,7 +383,6 @@ impl ShardCoordinator {
                     worker_bin: worker_bin.clone(),
                     spawn_ordinal: Arc::clone(&spawn_ordinal),
                     ledger: Arc::clone(&ledger),
-                    plan_store: Arc::clone(&plan_store),
                 };
                 let rec_tx = rec_tx.clone();
                 std::thread::spawn(move || shard.run(&rec_tx))
@@ -499,7 +428,6 @@ impl ShardCoordinator {
             }
         }
         stats.stolen = ledger.stolen.load(Ordering::Relaxed);
-        stats.plan_entries = plan_store.len().saturating_sub(plan_base);
         Ok(Merged {
             records: slots.into_iter().map(Option::unwrap).collect(),
             workers: plan.shards.len(),
@@ -542,7 +470,6 @@ struct ShardSupervisor {
     worker_bin: PathBuf,
     spawn_ordinal: Arc<AtomicUsize>,
     ledger: Arc<StealLedger>,
-    plan_store: Arc<PlanStore>,
 }
 
 impl ShardSupervisor {
@@ -578,10 +505,9 @@ impl ShardSupervisor {
         }
     }
 
-    /// Spawns one worker, feeds it the plan-cache pre-seed and the
-    /// shard's outstanding jobs, and consumes its event stream until
-    /// completion or failure.  The worker process is always reaped before
-    /// returning.
+    /// Spawns one worker, feeds it the shard's outstanding jobs, and
+    /// consumes its event stream until completion or failure.  The worker
+    /// process is always reaped before returning.
     fn attempt(&self, rec_tx: &Sender<(usize, RunRecord)>) -> Result<Attempt, ServeError> {
         let ordinal = self.spawn_ordinal.fetch_add(1, Ordering::Relaxed);
         let mut command = Command::new(&self.worker_bin);
@@ -602,19 +528,16 @@ impl ShardSupervisor {
         let fed = outstanding.len();
         let stdin = child.stdin.take().expect("worker stdin was piped");
         let feeder = {
-            let lines: Vec<String> = self
-                .plan_store
-                .snapshot()
+            let lines: Vec<String> = outstanding
                 .into_iter()
-                .map(|entry| CoordMsg::Plan(entry).to_line())
-                .chain(outstanding.into_iter().map(|index| {
+                .map(|index| {
                     CoordMsg::Run {
                         index,
                         seed: self.jobs[index].seed(),
                         scenario: self.jobs[index].name().to_string(),
                     }
                     .to_line()
-                }))
+                })
                 .chain([CoordMsg::Done.to_line()])
                 .collect();
             std::thread::spawn(move || {
@@ -649,9 +572,6 @@ impl ShardSupervisor {
                     }
                 }
                 Ok(Event::Msg(WorkerMsg::Heartbeat)) => {}
-                Ok(Event::Msg(WorkerMsg::Plan(entry))) => {
-                    self.plan_store.merge(&entry);
-                }
                 Ok(Event::Msg(WorkerMsg::Record { index, record })) => {
                     delivered += 1;
                     if self.ledger.claim(self.shard_id, index) {
@@ -717,9 +637,8 @@ impl ShardSupervisor {
         let _ = child.wait();
         // The kill races the pipe: frames parsed before the worker died
         // may still sit in the event queue.  Harvest any records (the
-        // ledger claim keeps this idempotent) and plan entries so a
-        // re-issue does not redo — or worse, double-merge — work that
-        // already finished.
+        // ledger claim keeps this idempotent) so a re-issue does not redo
+        // — or worse, double-merge — work that already finished.
         for event in ev_rx.iter() {
             match event {
                 Event::Eof | Event::Corrupt(_) => break,
@@ -727,9 +646,6 @@ impl ShardSupervisor {
                     if self.ledger.claim(self.shard_id, index) {
                         let _ = rec_tx.send((index, record));
                     }
-                }
-                Event::Msg(WorkerMsg::Plan(entry)) => {
-                    self.plan_store.merge(&entry);
                 }
                 Event::Msg(_) => {}
             }
@@ -841,23 +757,5 @@ mod tests {
         }
         assert!(ledger.claim(0, 2));
         assert_eq!(ledger.steal_into(0), 0, "no peer has two jobs to give");
-    }
-
-    #[test]
-    fn plan_store_merges_first_wins_and_snapshots_in_order() {
-        let store = PlanStore::new();
-        assert!(store.is_empty());
-        let a = PlanEntry::parse("0000000000000001 0000000000000002 0000000000000003 none")
-            .expect("entry parses");
-        let b = PlanEntry::parse("0000000000000004 0000000000000005 0000000000000006 none")
-            .expect("entry parses");
-        let a_dup = PlanEntry::parse("0000000000000001 0000000000000002 0000000000000009 none")
-            .expect("entry parses");
-        assert!(store.merge(&a));
-        assert!(store.merge(&b));
-        assert!(!store.merge(&a), "exact duplicate is not re-merged");
-        assert!(!store.merge(&a_dup), "same (state, query) key: first wins");
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.snapshot(), vec![a, b]);
     }
 }

@@ -27,7 +27,9 @@
 //! [`EncodedRecord`]): the bytes [`write_frame`](soter_scenarios::golden::write_frame)
 //! would write, with no per-response encode.
 //! A request line that is not UTF-8 gets `ERRREPORT ? …` like any other
-//! malformed request, and the connection keeps serving.
+//! malformed request, and the connection keeps serving.  So does a
+//! matrix above [`MAX_JOBS`](crate::shard::MAX_JOBS) jobs, which is
+//! refused before any job is resolved or allocated.
 //!
 //! The `cache=` token reports result-cache hits over lookups for this
 //! campaign and `stolen=` how many jobs moved between shards by work
@@ -38,12 +40,10 @@
 //! across all clients and both transports — share one [`WorkerPool`], so
 //! the daemon never exceeds its configured number of concurrent worker
 //! processes no matter how many clients connect.  They likewise share one
-//! [`ResultCache`] — so repeating a campaign (or one overlapping an
-//! earlier matrix) is answered from cache with byte-identical records —
-//! and one [`PlanStore`], so no worker replans a planner query any
-//! earlier worker of any campaign already solved.
+//! [`ResultCache`], so repeating a campaign (or one overlapping an
+//! earlier matrix) is answered from cache with byte-identical records.
 
-use crate::coordinator::{PlanStore, ServeStats, ShardConfig, ShardCoordinator, WorkerPool};
+use crate::coordinator::{ServeStats, ShardConfig, ShardCoordinator, WorkerPool};
 use crate::error::ServeError;
 use crate::shard::CampaignRequest;
 use soter_scenarios::campaign::RunRecord;
@@ -96,7 +96,6 @@ pub struct Daemon {
     config: ServeConfig,
     pool: Arc<WorkerPool>,
     result_cache: Option<Arc<ResultCache>>,
-    plan_store: Arc<PlanStore>,
 }
 
 impl Daemon {
@@ -120,18 +119,12 @@ impl Daemon {
             config,
             pool,
             result_cache,
-            plan_store: Arc::new(PlanStore::new()),
         }
     }
 
     /// The daemon's shared result cache (`None` when disabled).
     pub fn result_cache(&self) -> Option<&Arc<ResultCache>> {
         self.result_cache.as_ref()
-    }
-
-    /// The daemon's shared planner-cache store.
-    pub fn plan_store(&self) -> &Arc<PlanStore> {
-        &self.plan_store
     }
 
     /// Handles one request line end-to-end and returns the full response
@@ -144,7 +137,6 @@ impl Daemon {
         let mut shard_config = self.config.shard.clone();
         shard_config.pool = Some(Arc::clone(&self.pool));
         shard_config.result_cache = self.result_cache.clone();
-        shard_config.plan_store = Some(Arc::clone(&self.plan_store));
         let shards = request.shards;
         match ShardCoordinator::new(request)
             .with_config(shard_config)
@@ -539,7 +531,6 @@ mod tests {
             cache_lookups: 6,
             cache_hits: 4,
             stolen: 2,
-            plan_entries: 0,
         };
         let block = render_report("abc", 1, &[], stats);
         assert_eq!(parse_report_stats(&block), Some((4, 6, 2)));

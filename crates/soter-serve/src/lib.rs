@@ -34,7 +34,7 @@ pub mod shard;
 pub mod worker;
 
 pub use coordinator::{
-    worker_binary, KillPlan, PlanStore, ServeStats, ShardConfig, ShardCoordinator, WorkerPool,
+    worker_binary, KillPlan, ServeStats, ShardConfig, ShardCoordinator, WorkerPool,
 };
 pub use daemon::{Daemon, ServeConfig};
 pub use error::ServeError;

@@ -7,26 +7,19 @@
 //! codec the golden files, daemon replies and the result-cache segment use,
 //! so the strict golden parser doubles as wire validation.
 //!
-//! Plan-cache entries travel both ways as single `PLAN` lines wrapping
-//! `soter_plan::cache::PlanEntry::to_text` (f64 waypoints as exact bit
-//! patterns): the coordinator pre-seeds every spawned worker with the
-//! merged cache before its first `RUN`, and workers ship transitions they
-//! computed back after each record — so shard retries and repeat
-//! campaigns start planner-warm.
+//! No plan state crosses the wire: each worker keeps its own plan cache
+//! (see the `worker` module).
 //!
 //! | direction | message | meaning |
 //! |---|---|---|
-//! | coordinator → worker | `PLAN <entry>` | pre-seed one plan-cache transition (before the first `RUN`) |
 //! | coordinator → worker | `RUN <index> <seed> <scenario>` | run catalog scenario `<scenario>` with `<seed>`; report as matrix index `<index>` |
 //! | coordinator → worker | `DONE` | no more jobs: finish and exit |
 //! | worker → coordinator | `HELLO <version>` | greeting + protocol version, first line on stdout |
 //! | worker → coordinator | `HB` | heartbeat (liveness; sent on an interval from a ticker thread) |
 //! | worker → coordinator | `REC <index>` … `END` | one completed run record (frame described above) |
-//! | worker → coordinator | `PLAN <entry>` | one freshly-computed plan-cache transition |
 //! | worker → coordinator | `ERR <message>` | fatal worker-side error (unknown scenario, panicked job) |
 //! | worker → coordinator | `BYE` | clean exit after the last job |
 
-use soter_plan::cache::PlanEntry;
 use soter_scenarios::campaign::RunRecord;
 use soter_scenarios::golden::{read_frame, write_frame};
 use std::fmt;
@@ -35,8 +28,9 @@ use std::io::{BufRead, Write};
 /// Version tag carried by the `HELLO` greeting.  The coordinator refuses
 /// to talk to a worker announcing a different version (see
 /// `ServeError::ProtocolMismatch`).  History: 1 = the original RUN/REC
-/// protocol; 2 = bidirectional `PLAN` plan-cache frames.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// protocol; 2 = bidirectional plan-cache frames; 3 = those frames
+/// removed again (a v2 worker would still send them).
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// A protocol violation: a line (or record frame) that does not parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,8 +58,6 @@ pub enum CoordMsg {
         /// Catalog name resolved through `soter_scenarios::catalog::find`.
         scenario: String,
     },
-    /// Pre-seed one plan-cache transition (sent before the first `RUN`).
-    Plan(PlanEntry),
     /// No more jobs will follow: drain outstanding work and exit.
     Done,
 }
@@ -79,7 +71,6 @@ impl CoordMsg {
                 seed,
                 scenario,
             } => format!("RUN {index} {seed} {scenario}"),
-            CoordMsg::Plan(entry) => format!("PLAN {}", entry.to_text()),
             CoordMsg::Done => "DONE".to_string(),
         }
     }
@@ -90,7 +81,6 @@ impl CoordMsg {
         let bad = |what: &str| ProtocolError(format!("{what} in `{line}`"));
         match line.split_once(' ').unwrap_or((line, "")) {
             ("DONE", "") => Ok(CoordMsg::Done),
-            ("PLAN", entry) => parse_plan(entry).map(CoordMsg::Plan),
             ("RUN", rest) => {
                 let mut parts = rest.splitn(3, ' ');
                 let (index, seed, scenario) = (parts.next(), parts.next(), parts.next());
@@ -112,11 +102,6 @@ impl CoordMsg {
     }
 }
 
-/// Parses the payload of a `PLAN` line in either direction.
-fn parse_plan(entry: &str) -> Result<PlanEntry, ProtocolError> {
-    PlanEntry::parse(entry).map_err(|e| ProtocolError(format!("bad PLAN entry: {e}")))
-}
-
 /// Worker → coordinator messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkerMsg {
@@ -134,9 +119,6 @@ pub enum WorkerMsg {
         /// The run's record.
         record: RunRecord,
     },
-    /// One plan-cache transition the worker computed itself (never an
-    /// echo of a pre-seeded entry), for the coordinator to merge.
-    Plan(PlanEntry),
     /// Fatal worker-side error; the worker exits after sending it.
     Error {
         /// Human-readable description.
@@ -158,7 +140,6 @@ impl WorkerMsg {
                 write_frame(&mut frame, format_args!("REC {index}"), record);
                 out.write_all(frame.as_bytes())?;
             }
-            WorkerMsg::Plan(entry) => writeln!(out, "PLAN {}", entry.to_text())?,
             WorkerMsg::Error { message } => writeln!(out, "ERR {}", message.replace('\n', " "))?,
             WorkerMsg::Bye => writeln!(out, "BYE")?,
         }
@@ -185,7 +166,6 @@ impl WorkerMsg {
             ("HELLO", version) => WorkerMsg::Hello {
                 version: version.parse().map_err(|_| bad("bad HELLO version"))?,
             },
-            ("PLAN", entry) => WorkerMsg::Plan(parse_plan(entry)?),
             ("ERR", message) => WorkerMsg::Error {
                 message: message.to_string(),
             },
@@ -230,7 +210,6 @@ mod tests {
                 seed: 42,
                 scenario: "fig12a-rta".into(),
             },
-            CoordMsg::Plan(sample_plan_entry()),
             CoordMsg::Done,
         ] {
             assert_eq!(CoordMsg::parse(&msg.to_line()).unwrap(), msg);
@@ -238,27 +217,6 @@ mod tests {
         assert!(CoordMsg::parse("RUN x 1 a").is_err());
         assert!(CoordMsg::parse("RUN 1 1").is_err());
         assert!(CoordMsg::parse("FLY 1 1 a").is_err());
-        assert!(CoordMsg::parse("PLAN zz").is_err());
-    }
-
-    /// A `PLAN` line claiming `u64::MAX` waypoints is a protocol error on
-    /// both directions of the wire, not a panic in a reader thread.
-    #[test]
-    fn an_untrusted_plan_waypoint_count_is_rejected_both_ways() {
-        let line = "PLAN 0 0 0 18446744073709551615";
-        assert!(CoordMsg::parse(line).is_err());
-        let wire = format!("{line}\n");
-        assert!(WorkerMsg::read_from(&mut wire.as_bytes()).is_err());
-    }
-
-    fn sample_plan_entry() -> PlanEntry {
-        PlanEntry::parse(&format!(
-            "1111222233334444 5555666677778888 9999aaaabbbbcccc 1 {:016x} {:016x} {:016x}",
-            0.25f64.to_bits(),
-            (-1.5f64).to_bits(),
-            3.75f64.to_bits()
-        ))
-        .expect("sample entry parses")
     }
 
     #[test]
@@ -268,7 +226,6 @@ mod tests {
                 version: PROTOCOL_VERSION,
             },
             WorkerMsg::Heartbeat,
-            WorkerMsg::Plan(sample_plan_entry()),
             WorkerMsg::Record {
                 index: 3,
                 record: sample_record(3),

@@ -12,6 +12,11 @@ use crate::error::ServeError;
 use soter_scenarios::campaign::Campaign;
 use soter_scenarios::catalog::{self, CatalogJob};
 
+/// The most jobs one [`CampaignRequest`] may expand to.  Fixed, not
+/// configurable: it only has to keep one request line from asking the
+/// daemon for an allocation it cannot make.
+pub const MAX_JOBS: usize = 100_000;
+
 /// A sharded-campaign request: catalog scenario names fanned out across a
 /// seed list, split into `shards` worker processes.
 ///
@@ -57,16 +62,30 @@ impl CampaignRequest {
     /// borrows its registry entry, and a job at the entry's pinned seed
     /// reuses the entry's memoized fingerprint.  Only a `seeds=` override
     /// fingerprints the re-seeded entry, once per job.
+    ///
+    /// A request is untrusted input: a matrix above [`MAX_JOBS`] is
+    /// refused before anything is resolved or allocated for it.
     pub fn resolve_jobs(&self) -> Result<Vec<CatalogJob>, ServeError> {
-        let mut jobs = Vec::with_capacity(self.scenarios.len() * self.seeds.len().max(1));
-        for name in &self.scenarios {
-            let job =
-                catalog::job(name).ok_or_else(|| ServeError::UnknownScenario(name.clone()))?;
-            if self.seeds.is_empty() {
-                jobs.push(job);
-            } else {
-                jobs.extend(self.seeds.iter().map(|&seed| job.with_seed(seed)));
-            }
+        let (scenarios, seeds) = (self.scenarios.len(), self.seeds.len());
+        let count = scenarios
+            .checked_mul(seeds.max(1))
+            .filter(|&count| count <= MAX_JOBS)
+            .ok_or_else(|| {
+                ServeError::Request(format!(
+                    "{scenarios} scenarios x {seeds} seeds exceeds the {MAX_JOBS}-job bound"
+                ))
+            })?;
+        let resolved = self
+            .scenarios
+            .iter()
+            .map(|name| catalog::job(name).ok_or_else(|| ServeError::UnknownScenario(name.clone())))
+            .collect::<Result<Vec<_>, _>>()?;
+        if self.seeds.is_empty() {
+            return Ok(resolved);
+        }
+        let mut jobs = Vec::with_capacity(count);
+        for job in resolved {
+            jobs.extend(self.seeds.iter().map(|&seed| job.with_seed(seed)));
         }
         Ok(jobs)
     }

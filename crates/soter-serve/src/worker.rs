@@ -10,13 +10,10 @@
 //! so whatever worker (or re-issued worker) runs a job produces the
 //! identical record.
 //!
-//! Every worker owns a process-local `PlanCache`: `PLAN` lines arriving
-//! before the first job pre-seed it with the coordinator's merged cache
-//! (so re-issued and late-spawned workers start planner-warm), jobs run
-//! through `run_scenario_cached`, and transitions the worker computes
-//! itself are shipped back as `PLAN` frames after each record.  The cache
-//! replays exact query histories, so records stay byte-identical with or
-//! without it.
+//! Every worker owns exactly one process-local `PlanCache`, shared by
+//! every job it runs through `run_scenario_cached`; no plan state crosses
+//! the process boundary in either direction.  The cache replays exact
+//! query histories, so records stay byte-identical with or without it.
 //!
 //! Fault-injection knobs for the crash-safety tests are env-driven (see
 //! the `ENV_*` constants): a worker can be told to exit abruptly (no
@@ -174,11 +171,7 @@ where
             }
         });
     }
-    // The process-local plan cache: pre-seeded by `PLAN` lines from the
-    // coordinator, consulted by every job, and incrementally exported back
-    // (local-origin entries only, so nothing is ever echoed).
     let plan_cache = Arc::new(PlanCache::new());
-    let mut plan_cursor = 0usize;
     let slow = options
         .slow_per_job
         .filter(|_| claim_flag(&options.slow_flag));
@@ -198,17 +191,13 @@ where
                 return 2;
             }
         };
-        let (index, seed, scenario) = match msg {
-            CoordMsg::Plan(entry) => {
-                plan_cache.import(std::slice::from_ref(&entry));
-                continue;
-            }
-            CoordMsg::Done => break,
-            CoordMsg::Run {
-                index,
-                seed,
-                scenario,
-            } => (index, seed, scenario),
+        let CoordMsg::Run {
+            index,
+            seed,
+            scenario,
+        } = msg
+        else {
+            break; // `DONE`
         };
         let Some(spec) = catalog::find(&scenario) else {
             send(WorkerMsg::Error {
@@ -242,13 +231,6 @@ where
             }
         };
         send(WorkerMsg::Record { index, record });
-        // Ship whatever planner work this job contributed, so the
-        // coordinator can warm other shards (and future attempts) with it.
-        let (next_cursor, fresh_entries) = plan_cache.export_since(plan_cursor);
-        plan_cursor = next_cursor;
-        for entry in fresh_entries {
-            send(WorkerMsg::Plan(entry));
-        }
         completed += 1;
         if options.exit_after == Some(completed) {
             // Crash simulation: die without BYE; the coordinator sees EOF

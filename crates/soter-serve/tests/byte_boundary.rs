@@ -4,17 +4,22 @@
 //!
 //! Each valid input (a committed golden, a two-record `REC` stream and the
 //! daemon reply wrapping it, a three-entry result-cache segment, a
-//! targeted-node counterexample, a `PLAN` line and a `CAMPAIGN` line) is
-//! cut at every byte offset and has every bit flipped in turn.  The sweep
-//! is deterministic, so it runs as a plain test in both profiles: release
-//! builds wrap integer overflow where debug builds panic.
+//! targeted-node counterexample, a stale protocol-v2 `PLAN` line and a
+//! `CAMPAIGN` line) is cut at every byte offset and has every bit flipped
+//! in turn.  The sweep is deterministic, so it runs as a plain test in
+//! both profiles: release builds wrap integer overflow where debug builds
+//! panic.
+//!
+//! The same goes for sizes: a request line naming a huge scenario × seed
+//! matrix must be answered with `ERRREPORT`, not an allocation that
+//! aborts the daemon.
 
 use soter_scenarios::campaign::RunRecord;
 use soter_scenarios::falsify::{counterexample_from_text, counterexample_to_text};
 use soter_scenarios::golden::record_from_text;
 use soter_scenarios::{ResultCache, ScenarioFingerprint};
-use soter_serve::daemon::{parse_report_stats, parse_request, parse_response};
-use soter_serve::{CoordMsg, WorkerMsg};
+use soter_serve::daemon::{parse_report_stats, parse_request, parse_response, Daemon, ServeConfig};
+use soter_serve::{CoordMsg, ShardConfig, WorkerMsg};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -157,6 +162,8 @@ fn no_parser_panics_on_any_truncation_or_bit_flip() {
         },
     );
 
+    // A plan-cache line as a protocol-v2 peer wrote it: v3 has no `PLAN`
+    // message, so both directions refuse it.
     let plan = format!(
         "PLAN 1111222233334444 5555666677778888 9999aaaabbbbcccc 1 {:016x} {:016x} {:016x}\n",
         0.25f64.to_bits(),
@@ -164,10 +171,14 @@ fn no_parser_panics_on_any_truncation_or_bit_flip() {
         3.75f64.to_bits()
     );
     assert!(
-        CoordMsg::parse(&plan).is_ok(),
-        "the sample PLAN line parses"
+        CoordMsg::parse(&plan).is_err(),
+        "a stale PLAN line is refused"
     );
-    sweep("PLAN line", plan.as_bytes(), |mut bytes| {
+    assert!(
+        WorkerMsg::read_from(&mut plan.as_bytes()).is_err(),
+        "a stale PLAN line is refused"
+    );
+    sweep("stale PLAN line", plan.as_bytes(), |mut bytes| {
         let _ = CoordMsg::parse(&lossy(bytes));
         let _ = WorkerMsg::read_from(&mut bytes);
     });
@@ -244,4 +255,32 @@ fn a_counterexample_with_an_unknown_key_is_rejected() {
             .contains("unknown field `schedule_strat_us`"),
         "{err}"
     );
+}
+
+/// A 50k × 50k matrix from one ~350 KB request line, once with unknown
+/// names and once with a real one: each is refused with `ERRREPORT`
+/// before any job is resolved or allocated, and the daemon then answers
+/// an ordinary request.
+#[test]
+fn an_oversized_request_matrix_is_refused_and_serving_continues() {
+    let daemon = Daemon::new(ServeConfig {
+        shard: ShardConfig {
+            worker_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_soter-worker"))),
+            ..ShardConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let seeds = vec!["0"; 50_000].join(",");
+    for name in ["nope", "serve-smoke"] {
+        let names = vec![name; 50_000].join(",");
+        let line = format!("CAMPAIGN big scenarios={names} seeds={seeds}");
+        let response = daemon.handle_request_line(&line);
+        assert!(
+            response.starts_with("ERRREPORT big ") && response.contains("job bound"),
+            "`{name}` matrix: {response}"
+        );
+    }
+    let response = daemon.handle_request_line("CAMPAIGN ok scenarios=serve-smoke shards=1");
+    let (id, records) = parse_response(&response).expect("a normal request is answered");
+    assert_eq!((id.as_str(), records.len()), ("ok", 1));
 }

@@ -1,8 +1,9 @@
-//! End-to-end tests for the content-addressed result cache, the shared
-//! plan cache, and straggler work-stealing: real `soter-worker`
+//! End-to-end tests for the content-addressed result cache, straggler
+//! work-stealing and the worker protocol handshake: real `soter-worker`
 //! subprocesses behind a [`Daemon`], with warm repeats required to be
 //! byte-identical to cold runs and to the in-process
-//! [`Campaign`](soter_scenarios::campaign::Campaign).
+//! [`Campaign`](soter_scenarios::campaign::Campaign).  Plan caches stay
+//! inside each worker process, so nothing here depends on them.
 
 use soter_scenarios::campaign::RunRecord;
 use soter_scenarios::catalog;
@@ -397,30 +398,32 @@ fn kill_recovery_composes_with_work_stealing() {
 
 /// A stale worker binary announcing the wrong protocol version fails the
 /// campaign with the named [`ServeError::ProtocolMismatch`] — not a
-/// retry loop, not a generic worker error.
+/// retry loop, not a generic worker error.  Version 2 is the last one
+/// with plan-cache frames: such a worker must be refused at `HELLO`,
+/// before it can send one.
 #[test]
 fn stale_worker_protocol_version_is_a_named_mismatch_error() {
-    let request = CampaignRequest::new(["serve-smoke"]).with_seeds([1, 2]);
-    let config = ShardConfig {
-        worker_env: vec![(ENV_FORCE_PROTOCOL.into(), "1".into())],
-        ..test_config()
-    };
-    let err = ShardCoordinator::new(request)
-        .with_config(config)
-        .run()
-        .expect_err("a version-1 worker must be rejected by a version-2 coordinator");
-    match err {
-        ServeError::ProtocolMismatch {
-            worker,
-            coordinator,
-        } => {
-            assert_eq!(worker, 1);
-            assert_eq!(coordinator, soter_serve::PROTOCOL_VERSION);
+    assert_eq!(soter_serve::PROTOCOL_VERSION, 3);
+    for stale in [1, 2] {
+        let request = CampaignRequest::new(["serve-smoke"]).with_seeds([1, 2]);
+        let config = ShardConfig {
+            worker_env: vec![(ENV_FORCE_PROTOCOL.into(), stale.to_string())],
+            ..test_config()
+        };
+        let err = ShardCoordinator::new(request)
+            .with_config(config)
+            .run()
+            .expect_err("a stale worker must be rejected by a version-3 coordinator");
+        match err {
+            ServeError::ProtocolMismatch {
+                worker,
+                coordinator,
+            } => assert_eq!((worker, coordinator), (stale, 3)),
+            ref other => panic!("expected ProtocolMismatch, got: {other}"),
         }
-        other => panic!("expected ProtocolMismatch, got: {other}"),
+        assert!(
+            err.to_string().contains("rebuild soter-worker"),
+            "the error must tell the operator the fix: {err}"
+        );
     }
-    assert!(
-        err.to_string().contains("rebuild soter-worker"),
-        "the error must tell the operator the fix: {err}"
-    );
 }
