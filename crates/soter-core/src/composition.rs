@@ -196,17 +196,6 @@ impl RtaSystem {
             .collect()
     }
 
-    /// Environment input topics: topics subscribed to by some node but
-    /// published by none (`IS` in the paper's attribute list).
-    pub fn environment_topics(&self) -> BTreeSet<TopicName> {
-        let outputs = self.output_topics();
-        self.all_node_infos()
-            .into_iter()
-            .flat_map(|i| i.subscriptions)
-            .filter(|t| !outputs.contains(t))
-            .collect()
-    }
-
     /// Resets every module and node to its initial state.
     pub fn reset(&mut self) {
         for m in &mut self.modules {
@@ -269,8 +258,6 @@ mod tests {
         assert_eq!(sys.name(), "stack");
         let outputs = sys.output_topics();
         assert!(outputs.contains("plan") && outputs.contains("control"));
-        // "state" is subscribed but never published: an environment input.
-        assert!(sys.environment_topics().contains("state"));
         assert!(format!("{sys:?}").contains("planner"));
     }
 
@@ -315,9 +302,6 @@ mod tests {
             .build();
         sys.add_node(ok).unwrap();
         assert_eq!(sys.free_nodes().len(), 1);
-        // Now "state" is produced inside the system, no environment inputs
-        // remain.
-        assert!(sys.environment_topics().is_empty());
     }
 
     #[test]

@@ -413,12 +413,6 @@ impl RtaModuleBuilder {
         self
     }
 
-    /// Sets the safe controller node from an existing box.
-    pub fn safe_boxed(mut self, sc: Box<dyn Node>) -> Self {
-        self.sc = Some(sc);
-        self
-    }
-
     /// Sets the decision period `Δ`.
     pub fn delta(mut self, delta: Duration) -> Self {
         self.delta = Some(delta);
@@ -428,12 +422,6 @@ impl RtaModuleBuilder {
     /// Sets the safety oracle (φ_safe, φ_safer and the reachability check).
     pub fn oracle(mut self, oracle: impl SafetyOracle + 'static) -> Self {
         self.oracle = Some(Arc::new(oracle));
-        self
-    }
-
-    /// Sets the safety oracle from an existing shared reference.
-    pub fn oracle_arc(mut self, oracle: Arc<dyn SafetyOracle>) -> Self {
-        self.oracle = Some(oracle);
         self
     }
 

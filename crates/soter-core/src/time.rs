@@ -123,12 +123,6 @@ impl Duration {
     pub const fn is_zero(&self) -> bool {
         self.0 == 0
     }
-
-    /// Checked integer division of durations (how many whole `rhs` fit in
-    /// `self`); returns `None` if `rhs` is zero.
-    pub fn checked_div_duration(&self, rhs: Duration) -> Option<u64> {
-        self.0.checked_div(rhs.0)
-    }
 }
 
 impl Add<Duration> for Time {
@@ -249,18 +243,6 @@ mod tests {
     fn ordering_matches_microseconds() {
         assert!(Time::from_micros(1) < Time::from_micros(2));
         assert!(Duration::from_millis(1) < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn checked_div_counts_whole_periods() {
-        assert_eq!(
-            Duration::from_millis(100).checked_div_duration(Duration::from_millis(30)),
-            Some(3)
-        );
-        assert_eq!(
-            Duration::from_millis(100).checked_div_duration(Duration::ZERO),
-            None
-        );
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl LearnedController {
         self.steps
     }
 
-    /// Returns `true` while a distribution-shift episode is active.
-    pub fn in_glitch(&self) -> bool {
-        self.glitch_remaining > 0
-    }
-
     /// The state-dependent model error: a smooth pseudo-random field over
     /// position, standing in for "the network was never trained here".
     fn model_error_at(&self, p: Vec3) -> Vec3 {

@@ -203,20 +203,6 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Distinct planner states recorded across all chains.
-    pub fn states(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").snapshots.len()
-    }
-
-    /// Total recorded transitions.
-    pub fn transitions(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("plan cache lock")
-            .transitions
-            .len()
-    }
-
     fn ensure_root(&self, root: StateKey, planner: &dyn SnapshotPlanner) {
         let mut inner = self.inner.lock().expect("plan cache lock");
         inner

@@ -68,12 +68,6 @@ impl SurveillanceApp {
         &self.points
     }
 
-    /// Per-point visit counts (round-robin mode only; random targets are
-    /// not matched back to fixed points).
-    pub fn visit_counts(&self) -> &[usize] {
-        &self.visits
-    }
-
     /// The minimum number of visits over all fixed points — the
     /// "visited infinitely often" progress measure.
     pub fn min_visits(&self) -> usize {

@@ -132,32 +132,6 @@ impl ObstacleTtf {
         }
         Some(brake.lerp(&proposed, lo))
     }
-
-    /// A scalar time-to-failure estimate: the largest horizon `t ≤ max_horizon`
-    /// (to within `tolerance`) for which the state provably cannot leave
-    /// `φ_safe`.  Returns `0.0` if the state is already unsafe and
-    /// `max_horizon` if no failure is reachable within the window.
-    pub fn time_to_failure(&self, state: &DroneState, max_horizon: f64, tolerance: f64) -> f64 {
-        assert!(max_horizon > 0.0 && tolerance > 0.0);
-        if !self.is_safe(state) {
-            return 0.0;
-        }
-        if !self.may_leave_safe_within(state, max_horizon) {
-            return max_horizon;
-        }
-        // Binary search for the boundary between "provably safe for t" and
-        // "may fail within t".
-        let (mut lo, mut hi) = (0.0, max_horizon);
-        while hi - lo > tolerance {
-            let mid = 0.5 * (lo + hi);
-            if self.may_leave_safe_within(state, mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        lo
-    }
 }
 
 #[cfg(test)]
@@ -200,40 +174,7 @@ mod tests {
         let t = ttf();
         let s = DroneState::at_rest(Vec3::new(13.0, 13.0, 3.0)); // inside a house
         assert!(!t.is_safe(&s));
-        assert_eq!(t.time_to_failure(&s, 5.0, 0.01), 0.0);
-    }
-
-    #[test]
-    fn ttf_monotone_with_distance_to_obstacles() {
-        let t = ttf();
-        let near = DroneState::at_rest(Vec3::new(8.3, 13.0, 3.0));
-        let far = DroneState::at_rest(Vec3::new(4.0, 4.0, 2.0));
-        let ttf_near = t.time_to_failure(&near, 5.0, 0.01);
-        let ttf_far = t.time_to_failure(&far, 5.0, 0.01);
-        assert!(ttf_near < ttf_far, "near {ttf_near} vs far {ttf_far}");
-    }
-
-    #[test]
-    fn ttf_saturates_at_max_horizon() {
-        let t = ttf();
-        let s = DroneState::at_rest(Vec3::new(4.0, 4.0, 2.0));
-        let v = t.time_to_failure(&s, 0.1, 0.01);
-        assert_eq!(v, 0.1);
-    }
-
-    #[test]
-    fn ttf_respects_velocity_direction_magnitude() {
-        let t = ttf();
-        // Same position, but one state is moving fast: its worst-case reach
-        // is larger, so its time-to-failure is smaller.
-        let slow = DroneState::at_rest(Vec3::new(6.0, 13.0, 3.0));
-        let fast = DroneState {
-            position: Vec3::new(6.0, 13.0, 3.0),
-            velocity: Vec3::new(8.0, 0.0, 0.0),
-        };
-        let ttf_slow = t.time_to_failure(&slow, 5.0, 0.01);
-        let ttf_fast = t.time_to_failure(&fast, 5.0, 0.01);
-        assert!(ttf_fast < ttf_slow);
+        assert!(t.may_leave_safe_within(&s, 0.01));
     }
 
     #[test]

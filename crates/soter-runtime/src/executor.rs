@@ -67,9 +67,8 @@ use std::cell::OnceCell;
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Scheduling-jitter schedule applied to node firings
-    /// ([`JitterSchedule::Ideal`] for the ideal calendar; any
-    /// [`crate::jitter::JitterModel`] converts via `.into()` for the legacy
-    /// i.i.d. behaviour).
+    /// ([`JitterSchedule::Ideal`] for the ideal calendar,
+    /// [`JitterSchedule::Iid`] for the stochastic i.i.d. model).
     pub schedule: JitterSchedule,
     /// Whether to record a full [`Trace`] (disable for long campaigns).
     pub record_trace: bool,
@@ -399,12 +398,6 @@ impl Executor {
         &self.system
     }
 
-    /// Mutable access to the executed system (e.g. to inspect controllers
-    /// after a run).
-    pub fn system_mut(&mut self) -> &mut RtaSystem {
-        &mut self.system
-    }
-
     /// Consumes the executor, returning the system (with all node state as
     /// it was at the end of the run).
     pub fn into_system(self) -> RtaSystem {
@@ -535,12 +528,6 @@ impl Executor {
         }
     }
 
-    /// Runs the system for an additional `duration` of simulated time.
-    pub fn run_for(&mut self, duration: Duration) {
-        let deadline = self.now + duration;
-        self.run_until(deadline);
-    }
-
     fn reschedule(&mut self, idx: usize) {
         let delay = self
             .sampler
@@ -655,7 +642,6 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jitter::JitterModel;
     use soter_core::node::FnNode;
     use soter_core::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -896,13 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn run_for_advances_relative_duration() {
-        let mut exec = Executor::new(line_system());
-        exec.run_for(Duration::from_millis(300));
-        assert!(exec.now() >= Time::from_millis(300));
-    }
-
-    #[test]
     #[should_panic(expected = "undeclared topic")]
     fn publishing_on_undeclared_topic_panics() {
         let mut sys = RtaSystem::new("bad");
@@ -923,7 +902,7 @@ mod tests {
     #[test]
     fn jitter_delays_firings() {
         let config = ExecutorConfig {
-            schedule: JitterModel::new(1.0, Duration::from_millis(20), 42).into(),
+            schedule: JitterSchedule::iid(1.0, Duration::from_millis(20), 42),
             ..ExecutorConfig::default()
         };
         let mut exec = Executor::with_config(line_system(), config);
@@ -984,7 +963,7 @@ mod tests {
     #[test]
     fn jitter_seeding_is_per_run_and_uncoupled() {
         let config = ExecutorConfig {
-            schedule: JitterModel::new(0.5, Duration::from_millis(30), 99).into(),
+            schedule: JitterSchedule::iid(0.5, Duration::from_millis(30), 99),
             ..ExecutorConfig::default()
         };
         let run_alone = |cfg: &ExecutorConfig| {
@@ -1015,26 +994,26 @@ mod tests {
     /// seeds, and distinguishes jittered from ideal-calendar runs.
     #[test]
     fn trace_digest_separates_jitter_configurations() {
-        let digest_with = |jitter: JitterModel| {
+        let digest_with = |schedule: JitterSchedule| {
             let config = ExecutorConfig {
-                schedule: jitter.into(),
+                schedule,
                 ..ExecutorConfig::default()
             };
             let mut exec = Executor::with_config(line_system(), config);
             exec.run_until(Time::from_secs_f64(2.0));
             exec.trace().digest()
         };
-        let ideal = digest_with(JitterModel::none());
-        assert_eq!(ideal, digest_with(JitterModel::none()));
-        let jittered = digest_with(JitterModel::new(0.8, Duration::from_millis(25), 7));
+        let ideal = digest_with(JitterSchedule::Ideal);
+        assert_eq!(ideal, digest_with(JitterSchedule::Ideal));
+        let jittered = digest_with(JitterSchedule::iid(0.8, Duration::from_millis(25), 7));
         assert_eq!(
             jittered,
-            digest_with(JitterModel::new(0.8, Duration::from_millis(25), 7))
+            digest_with(JitterSchedule::iid(0.8, Duration::from_millis(25), 7))
         );
         assert_ne!(ideal, jittered, "jitter must perturb the firing schedule");
         assert_ne!(
             jittered,
-            digest_with(JitterModel::new(0.8, Duration::from_millis(25), 8)),
+            digest_with(JitterSchedule::iid(0.8, Duration::from_millis(25), 8)),
             "different jitter seeds must explore different schedules"
         );
     }

@@ -62,12 +62,15 @@ impl ExplorationReport {
 type Factory = Box<dyn Fn() -> RtaSystem>;
 type Predicate = Box<dyn Fn(Time, &dyn TopicRead, &[(String, Mode)]) -> bool>;
 
+/// Scheduling choice points per schedule before a replay stops (guards
+/// against runaway exploration of very fine-grained systems).
+const MAX_CHOICE_POINTS: usize = 10_000;
+
 /// A bounded-asynchrony systematic tester.
 pub struct SystematicTester {
     factory: Factory,
     predicate: Predicate,
     horizon: Time,
-    max_choice_points: usize,
 }
 
 impl SystematicTester {
@@ -88,15 +91,7 @@ impl SystematicTester {
             factory: Box::new(factory),
             predicate: Box::new(predicate),
             horizon,
-            max_choice_points: 10_000,
         }
-    }
-
-    /// Caps the number of scheduling choice points per schedule (guards
-    /// against runaway exploration of very fine-grained systems).
-    pub fn with_max_choice_points(mut self, max: usize) -> Self {
-        self.max_choice_points = max;
-        self
     }
 
     /// Replays one schedule described by `choices` (indices taken at
@@ -134,7 +129,7 @@ impl SystematicTester {
                 pick
             });
             let Some(now) = next else { break };
-            if choice_count > self.max_choice_points {
+            if choice_count > MAX_CHOICE_POINTS {
                 break;
             }
             let snapshot = exec.mode_snapshot();
@@ -167,7 +162,7 @@ impl SystematicTester {
         for _ in 0..schedules {
             // Pre-draw a long random choice vector; unused entries are
             // ignored, missing ones default to choice 0.
-            let choices: Vec<usize> = (0..self.max_choice_points.min(4096))
+            let choices: Vec<usize> = (0..MAX_CHOICE_POINTS.min(4096))
                 .map(|_| rng.random_range(0..8))
                 .collect();
             let (result, _, firings) = self.run_schedule(&choices);

@@ -11,13 +11,12 @@
 //!   ENVIRONMENT-INPUT transitions through [`Executor::publish`],
 //! * [`trace`] — structured execution traces (node firings, mode switches,
 //!   invariant violations) used by the experiment harness and tests,
-//! * [`jitter`] — the stochastic i.i.d. scheduling-jitter model that delays
-//!   node firings, used to reproduce the scheduling-starvation crashes
-//!   reported in the paper's stress campaign (Sec. V-D),
-//! * [`schedule`] — deterministic, per-node jitter *schedules* whose
-//!   [`schedule::Sampler`] the executor consults per firing: bursts,
-//!   targeted node starvation (the paper's exact crash class) and
-//!   phase-locked windows, searched over by the falsification engine in
+//! * [`schedule`] — deterministic scheduling-jitter *schedules* whose
+//!   [`schedule::Sampler`] the executor consults per firing: the i.i.d.
+//!   model that reproduces the scheduling-starvation crashes reported in
+//!   the paper's stress campaign (Sec. V-D) by chance, and bursts, targeted
+//!   node starvation (the paper's exact crash class) and phase-locked
+//!   windows, searched over by the falsification engine in
 //!   `soter-scenarios`,
 //! * [`explore`] — a bounded-asynchrony systematic-testing engine in the
 //!   style of the P/DRONA backend the paper builds on: it enumerates firing
@@ -46,12 +45,10 @@
 
 pub mod executor;
 pub mod explore;
-pub mod jitter;
 pub mod schedule;
 pub mod trace;
 
 pub use executor::{Executor, ExecutorConfig};
 pub use explore::{ExplorationReport, SystematicTester};
-pub use jitter::JitterModel;
 pub use schedule::{delta_slack, JitterSchedule};
 pub use trace::{Trace, TraceEvent, TraceHasher};

@@ -1,16 +1,18 @@
-//! Deterministic, per-node jitter *schedules*.
+//! Deterministic scheduling-jitter *schedules*.
 //!
-//! The i.i.d. [`JitterModel`] of [`crate::jitter`] reproduces the paper's
-//! stress observation only by luck: every node firing is delayed with the
-//! same probability, so the specific effect behind the 34 reported crashes
-//! — "the DM node did switch control, but the SC node was not scheduled in
-//! time" (Sec. V-D) — occurs rarely and unreproducibly.  Following the
-//! RTAEval observation that RTA logic should be evaluated against
-//! *systematically generated* adverse timing, this module makes the whole
-//! schedule a first-class, deterministic value:
+//! The paper's stress campaign (Sec. V-D) reports 34 crashes whose root
+//! cause was that "the DM node did switch control, but the SC node was not
+//! scheduled in time for the system to recover" — a scheduling effect of
+//! the non-real-time host OS, not a flaw of the RTA theory.  The i.i.d.
+//! schedule ([`JitterSchedule::Iid`]) reproduces that effect only by luck:
+//! every node firing is delayed with the same probability, so the crash
+//! occurs rarely and unreproducibly.  Following the RTAEval observation
+//! that RTA logic should be evaluated against *systematically generated*
+//! adverse timing, this module makes the whole schedule a first-class,
+//! deterministic value:
 //!
 //! * [`JitterSchedule`] — a declarative, serialisable description of a
-//!   schedule: the ideal calendar, today's i.i.d. model and window-shaped
+//!   schedule: the ideal calendar, the i.i.d. model and window-shaped
 //!   adversarial schedules ([`JitterSchedule::Burst`],
 //!   [`JitterSchedule::TargetedNode`], [`JitterSchedule::PhaseLocked`]),
 //! * [`Sampler`] — a schedule's per-run state, which the executor consults
@@ -24,7 +26,8 @@
 //! a violating schedule to a minimal counterexample and pin it as a golden
 //! trace.
 
-use crate::jitter::{JitterModel, JitterSampler};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use soter_core::time::{Duration, Time};
 
 /// A declarative scheduling-jitter schedule.
@@ -39,10 +42,19 @@ pub enum JitterSchedule {
     /// The ideal calendar: no firing is ever delayed.
     #[default]
     Ideal,
-    /// The legacy stochastic model: every firing of every node is delayed
-    /// with probability `probability` by a uniform random amount (still
-    /// deterministic per seed, but not node-targeted).
-    Iid(JitterModel),
+    /// The stochastic model: every firing of every node is delayed with
+    /// probability `probability` by a uniform random amount in
+    /// `[0, max_delay]` (deterministic per seed, but not node-targeted).
+    /// A `probability` of 1 or more delays every firing; 0 or less, or NaN,
+    /// none.
+    Iid {
+        /// Probability that a given firing is delayed.
+        probability: f64,
+        /// Maximum delay applied to a delayed firing.
+        max_delay: Duration,
+        /// Seed of the delay stream.
+        seed: u64,
+    },
     /// Delay *every* node's firings dispatched within the window
     /// `[start, start + width)` by a fixed `delay` — a system-wide
     /// scheduling hiccup (GC pause, page fault storm).
@@ -85,22 +97,24 @@ pub enum JitterSchedule {
 }
 
 impl JitterSchedule {
-    /// The ideal calendar (alias of [`JitterSchedule::Ideal`], mirroring
-    /// [`JitterModel::none`]).
-    pub fn none() -> Self {
-        JitterSchedule::Ideal
-    }
-
-    /// The legacy i.i.d. model with an explicit sampler seed.
+    /// The i.i.d. model with an explicit sampler seed.
     pub fn iid(probability: f64, max_delay: Duration, seed: u64) -> Self {
-        JitterSchedule::Iid(JitterModel::new(probability, max_delay, seed))
+        JitterSchedule::Iid {
+            probability,
+            max_delay,
+            seed,
+        }
     }
 
     /// Whether this schedule can ever delay a firing.
     pub fn is_enabled(&self) -> bool {
         match self {
             JitterSchedule::Ideal => false,
-            JitterSchedule::Iid(model) => model.probability > 0.0 && !model.max_delay.is_zero(),
+            JitterSchedule::Iid {
+                probability,
+                max_delay,
+                ..
+            } => *probability > 0.0 && !max_delay.is_zero(),
             JitterSchedule::Burst { width, delay, .. }
             | JitterSchedule::TargetedNode { width, delay, .. } => {
                 !width.is_zero() && !delay.is_zero()
@@ -119,9 +133,13 @@ impl JitterSchedule {
     pub fn max_delay(&self) -> Duration {
         match self {
             JitterSchedule::Ideal => Duration::ZERO,
-            JitterSchedule::Iid(model) => {
-                if model.probability > 0.0 {
-                    model.max_delay
+            JitterSchedule::Iid {
+                probability,
+                max_delay,
+                ..
+            } => {
+                if *probability > 0.0 {
+                    *max_delay
                 } else {
                     Duration::ZERO
                 }
@@ -151,26 +169,13 @@ impl JitterSchedule {
 
     /// Builds the per-run sampler the executor consults per firing.
     pub fn sampler(&self) -> Sampler {
+        let seed = match self {
+            JitterSchedule::Iid { seed, .. } => *seed,
+            _ => 0,
+        };
         Sampler {
             schedule: self.clone(),
-            iid: match self {
-                JitterSchedule::Iid(model) => *model,
-                _ => JitterModel::none(),
-            }
-            .sampler(),
-        }
-    }
-}
-
-impl From<JitterModel> for JitterSchedule {
-    /// A zero-probability / zero-delay model maps to the ideal calendar;
-    /// anything else keeps the i.i.d. semantics (and the exact delay
-    /// stream) of the model.
-    fn from(model: JitterModel) -> Self {
-        if model.probability > 0.0 && !model.max_delay.is_zero() {
-            JitterSchedule::Iid(model)
-        } else {
-            JitterSchedule::Ideal
+            rng: SmallRng::seed_from_u64(seed),
         }
     }
 }
@@ -197,10 +202,10 @@ pub fn delta_slack(delta: Duration, safer_factor: f64) -> Duration {
 #[derive(Debug, Clone)]
 pub struct Sampler {
     schedule: JitterSchedule,
-    /// The i.i.d. stream, advanced once per call in calendar order —
-    /// byte-identical to the executor's original hardwired sampler.  Other
-    /// schedules never draw from it.
-    iid: JitterSampler,
+    /// The i.i.d. stream, seeded from [`JitterSchedule::Iid`]'s `seed` and
+    /// advanced in calendar order: one draw per firing, and a second for a
+    /// delayed one.  Other schedules never draw from it.
+    rng: SmallRng,
 }
 
 impl Sampler {
@@ -211,7 +216,19 @@ impl Sampler {
         let in_window = |start: Time, width: Duration| now >= start && now < start + width;
         match &self.schedule {
             JitterSchedule::Ideal => Duration::ZERO,
-            JitterSchedule::Iid(_) => self.iid.sample(),
+            JitterSchedule::Iid {
+                probability,
+                max_delay,
+                ..
+            } => {
+                if *probability <= 0.0 || max_delay.is_zero() {
+                    Duration::ZERO
+                } else if self.rng.random::<f64>() < *probability {
+                    Duration::from_micros(self.rng.random_range(0..=max_delay.as_micros()))
+                } else {
+                    Duration::ZERO
+                }
+            }
             JitterSchedule::Burst {
                 start,
                 width,
@@ -255,18 +272,53 @@ mod tests {
         }
     }
 
+    /// The first delays of an i.i.d. stream, in microseconds.
+    fn iid_stream(probability: f64, max_delay: Duration, seed: u64, n: u64) -> Vec<u64> {
+        let mut s = JitterSchedule::iid(probability, max_delay, seed).sampler();
+        (0..n)
+            .map(|t| s.delay("node", Time::from_millis(t)).as_micros())
+            .collect()
+    }
+
+    /// The literal is the stream the executor's original hardwired i.i.d.
+    /// sampler drew for this model: the `stress-jitter` golden and every
+    /// jittered digest depend on it, draw for draw.
     #[test]
     fn iid_schedule_matches_legacy_sampler_stream() {
-        let model = JitterModel::new(0.5, Duration::from_millis(20), 11);
-        let mut legacy = model.sampler();
-        let mut scheduled = JitterSchedule::Iid(model).sampler();
-        for t in 0..200 {
-            assert_eq!(
-                legacy.sample(),
-                scheduled.delay("node", Time::from_millis(t)),
-                "the Iid schedule must reproduce the legacy delay stream"
-            );
-        }
+        assert_eq!(
+            iid_stream(0.5, Duration::from_millis(20), 11, 12),
+            [0, 0, 0, 0, 13019, 3417, 0, 9831, 9230, 15274, 0, 9755]
+        );
+    }
+
+    #[test]
+    fn iid_delays_are_bounded() {
+        let stream = iid_stream(1.0, Duration::from_millis(50), 3, 1000);
+        assert!(stream.iter().all(|&d| d <= 50_000));
+    }
+
+    #[test]
+    fn iid_probability_controls_frequency() {
+        let count_delays = |p: f64| {
+            iid_stream(p, Duration::from_millis(10), 7, 1000)
+                .iter()
+                .filter(|&&d| d != 0)
+                .count()
+        };
+        let low = count_delays(0.05);
+        let high = count_delays(0.9);
+        assert!(
+            low < high,
+            "higher probability must delay more often ({low} vs {high})"
+        );
+        assert!(low > 0 && high < 1000);
+    }
+
+    #[test]
+    fn iid_stream_is_deterministic_per_seed() {
+        let stream = |seed| iid_stream(0.5, Duration::from_millis(20), seed, 50);
+        assert_eq!(stream(11), stream(11));
+        assert_ne!(stream(11), stream(12));
     }
 
     #[test]
@@ -336,6 +388,8 @@ mod tests {
     #[test]
     fn degenerate_windows_are_disabled() {
         for schedule in [
+            JitterSchedule::iid(0.0, Duration::from_millis(10), 1),
+            JitterSchedule::iid(0.5, Duration::ZERO, 1),
             JitterSchedule::Burst {
                 start: Time::ZERO,
                 width: Duration::ZERO,
@@ -361,16 +415,6 @@ mod tests {
                 assert_eq!(s.delay("sc", Time::from_millis(t)), Duration::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn model_conversion_maps_disabled_models_to_ideal() {
-        assert_eq!(
-            JitterSchedule::from(JitterModel::none()),
-            JitterSchedule::Ideal
-        );
-        let model = JitterModel::new(0.3, Duration::from_millis(10), 4);
-        assert_eq!(JitterSchedule::from(model), JitterSchedule::Iid(model));
     }
 
     #[test]

@@ -654,15 +654,15 @@ pub fn schedule_to_text(schedule: &JitterSchedule) -> String {
         JitterSchedule::Ideal => {
             let _ = writeln!(out, "schedule = ideal");
         }
-        JitterSchedule::Iid(model) => {
+        JitterSchedule::Iid {
+            probability,
+            max_delay,
+            seed,
+        } => {
             let _ = writeln!(out, "schedule = iid");
-            let _ = writeln!(out, "schedule_probability = {}", model.probability);
-            let _ = writeln!(
-                out,
-                "schedule_max_delay_us = {}",
-                model.max_delay.as_micros()
-            );
-            let _ = writeln!(out, "schedule_seed = {}", model.seed);
+            let _ = writeln!(out, "schedule_probability = {probability}");
+            let _ = writeln!(out, "schedule_max_delay_us = {}", max_delay.as_micros());
+            let _ = writeln!(out, "schedule_seed = {seed}");
         }
         JitterSchedule::Burst {
             start,
@@ -737,11 +737,19 @@ fn schedule_from_fields(values: &[Option<&str>]) -> Result<JitterSchedule, Golde
     let us = |key: &str| f.parse::<u64>(key);
     Ok(match f.get("schedule")? {
         "ideal" => JitterSchedule::Ideal,
-        "iid" => JitterSchedule::iid(
-            f.parse("schedule_probability")?,
-            Duration::from_micros(us("schedule_max_delay_us")?),
-            f.parse("schedule_seed")?,
-        ),
+        "iid" => {
+            let probability: f64 = f.parse("schedule_probability")?;
+            if !(0.0..=1.0).contains(&probability) {
+                return Err(GoldenError::Parse(format!(
+                    "field `schedule_probability` = {probability} is not within [0, 1]"
+                )));
+            }
+            JitterSchedule::iid(
+                probability,
+                Duration::from_micros(us("schedule_max_delay_us")?),
+                f.parse("schedule_seed")?,
+            )
+        }
         "burst" => JitterSchedule::Burst {
             start: Time::from_micros(us("schedule_start_us")?),
             width: Duration::from_micros(us("schedule_width_us")?),

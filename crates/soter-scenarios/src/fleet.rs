@@ -123,13 +123,11 @@ pub fn fleet_agents(
                     }
                 }
             };
-            let (protection, advanced) =
-                fleet.drone_config(i, scenario.protection, scenario.advanced.clone());
             DroneAgent {
                 start: circuit[0],
                 circuit,
-                protection,
-                advanced,
+                protection: scenario.protection,
+                advanced: scenario.advanced.clone(),
                 // Decorrelate the drones' noise/fault streams while keeping
                 // the whole fleet a function of the scenario seed.
                 seed: scenario

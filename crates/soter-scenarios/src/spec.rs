@@ -17,7 +17,6 @@ use soter_core::rta::FilterKind;
 use soter_core::time::Duration;
 use soter_drone::stack::{AdvancedKind, DroneStackConfig, Protection};
 use soter_plan::surveillance::TargetPolicy;
-use soter_runtime::jitter::JitterModel;
 use soter_runtime::schedule::JitterSchedule;
 use soter_sim::battery::BatteryModel;
 use soter_sim::geometry::Aabb;
@@ -221,11 +220,11 @@ impl JitterSpec {
             JitterSpec::Iid {
                 probability,
                 max_delay,
-            } if self.is_enabled() => JitterSchedule::Iid(JitterModel::new(
+            } if self.is_enabled() => JitterSchedule::iid(
                 *probability,
                 *max_delay,
                 derive_stream_seed(scenario_seed, JITTER_STREAM),
-            )),
+            ),
             JitterSpec::None | JitterSpec::Iid { .. } => JitterSchedule::Ideal,
             JitterSpec::Schedule(schedule) => schedule.clone(),
         }
@@ -247,25 +246,14 @@ pub enum FleetLayout {
     Corridor,
 }
 
-/// A per-drone override inside a fleet (the fleet default comes from the
-/// scenario's own `protection`/`advanced` fields).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetOverride {
-    /// Index of the drone this override applies to.
-    pub drone: usize,
-    /// Protection override, if any.
-    pub protection: Option<Protection>,
-    /// Advanced-controller override, if any.
-    pub advanced: Option<AdvancedKind>,
-}
-
 /// A multi-drone fleet: drone count, spawn layout and the separation
-/// invariant's radius, plus optional per-drone overrides.
+/// invariant's radius.
 ///
 /// Attaching a `FleetSpec` to a [`Scenario`] (via [`Scenario::with_fleet`])
 /// turns a circuit mission into a multi-drone airspace: every drone runs
-/// its own RTA-protected stack and every decision module enforces φ_sep
-/// against its peers' forward-reach sets (see `soter_drone::airspace`).
+/// the scenario's `protection` and `advanced` choice on its own stack, and
+/// every decision module enforces φ_sep against its peers' forward-reach
+/// sets (see `soter_drone::airspace`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Number of drones (at least 2).
@@ -276,8 +264,6 @@ pub struct FleetSpec {
     pub separation_radius: f64,
     /// Extra margin added to `r_sep` for the safe controller's yield bubble.
     pub yield_margin: f64,
-    /// Per-drone overrides of protection / advanced-controller choice.
-    pub overrides: Vec<FleetOverride>,
 }
 
 impl FleetSpec {
@@ -294,7 +280,6 @@ impl FleetSpec {
             layout,
             separation_radius: 1.5,
             yield_margin: 1.0,
-            overrides: Vec::new(),
         }
     }
 
@@ -302,33 +287,6 @@ impl FleetSpec {
     pub fn with_separation_radius(mut self, radius: f64) -> Self {
         self.separation_radius = radius;
         self
-    }
-
-    /// Adds a per-drone override.
-    pub fn with_override(mut self, o: FleetOverride) -> Self {
-        self.overrides.push(o);
-        self
-    }
-
-    /// The effective (protection, advanced) of drone `i`, given the fleet
-    /// defaults from the scenario.
-    pub fn drone_config(
-        &self,
-        i: usize,
-        default_protection: Protection,
-        default_advanced: AdvancedKind,
-    ) -> (Protection, AdvancedKind) {
-        let mut protection = default_protection;
-        let mut advanced = default_advanced;
-        for o in self.overrides.iter().filter(|o| o.drone == i) {
-            if let Some(p) = o.protection {
-                protection = p;
-            }
-            if let Some(a) = &o.advanced {
-                advanced = a.clone();
-            }
-        }
-        (protection, advanced)
     }
 }
 
@@ -619,11 +577,11 @@ mod tests {
         assert!(spec.is_enabled());
         assert_eq!(
             spec.model(13),
-            JitterSchedule::Iid(JitterModel::new(
+            JitterSchedule::iid(
                 0.2,
                 Duration::from_millis(300),
                 derive_stream_seed(13, JITTER_STREAM)
-            ))
+            )
         );
         assert_eq!(JitterSpec::none().model(13), JitterSchedule::Ideal);
         assert_eq!(

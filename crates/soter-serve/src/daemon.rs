@@ -31,6 +31,10 @@
 //! matrix above [`MAX_JOBS`](crate::shard::MAX_JOBS) jobs, which is
 //! refused before any job is resolved or allocated.
 //!
+//! `shards=` is capped at the daemon's worker-pool capacity, since shards
+//! past it could only queue for a worker slot; the `REPORT` header echoes
+//! the capped count.
+//!
 //! The `cache=` token reports result-cache hits over lookups for this
 //! campaign and `stolen=` how many jobs moved between shards by work
 //! stealing; clients that predate these tokens still parse the header
@@ -130,10 +134,15 @@ impl Daemon {
     /// Handles one request line end-to-end and returns the full response
     /// block (always newline-terminated, ready to write atomically).
     pub fn handle_request_line(&self, line: &str) -> String {
-        let (id, request) = match parse_request(line, self.config.default_shards) {
+        let (id, mut request) = match parse_request(line, self.config.default_shards) {
             Ok(parsed) => parsed,
             Err(e) => return format!("ERRREPORT ? {e}\n"),
         };
+        // Each shard gets its own supervisor thread before it waits for a
+        // pool permit, and shards past the pool's capacity would only
+        // queue: capping the count there bounds the threads one request
+        // line can start.  Records do not depend on the shard count.
+        request.shards = request.shards.min(self.config.pool_capacity.max(1));
         let mut shard_config = self.config.shard.clone();
         shard_config.pool = Some(Arc::clone(&self.pool));
         shard_config.result_cache = self.result_cache.clone();

@@ -4,18 +4,21 @@
 //!
 //! Each valid input (a committed golden, a two-record `REC` stream and the
 //! daemon reply wrapping it, a three-entry result-cache segment, a
-//! targeted-node counterexample, a stale protocol-v2 `PLAN` line and a
-//! `CAMPAIGN` line) is cut at every byte offset and has every bit flipped
-//! in turn.  The sweep is deterministic, so it runs as a plain test in
-//! both profiles: release builds wrap integer overflow where debug builds
-//! panic.
+//! targeted-node and an `iid` counterexample, a stale protocol-v2 `PLAN`
+//! line, a `CAMPAIGN` line and an accepted `.vmasm` program) is cut at
+//! every byte offset and has every bit flipped in turn.  The sweep is
+//! deterministic, so it runs as a plain test in both profiles: release
+//! builds wrap integer overflow where debug builds panic.
 //!
 //! The same goes for sizes: a request line naming a huge scenario × seed
 //! matrix must be answered with `ERRREPORT`, not an allocation that
-//! aborts the daemon.
+//! aborts the daemon, and a huge `shards=` count must not start a thread
+//! per shard.
 
 use soter_scenarios::campaign::RunRecord;
-use soter_scenarios::falsify::{counterexample_from_text, counterexample_to_text};
+use soter_scenarios::falsify::{
+    counterexample_from_text, counterexample_to_text, schedule_from_text,
+};
 use soter_scenarios::golden::record_from_text;
 use soter_scenarios::{ResultCache, ScenarioFingerprint};
 use soter_serve::daemon::{parse_report_stats, parse_request, parse_response, Daemon, ServeConfig};
@@ -91,15 +94,12 @@ fn three_entry_segment(path: &Path) -> Vec<u8> {
     std::fs::read(path).expect("read segment")
 }
 
-/// The shrunk SC-starvation crash class: the committed golden's record
-/// under a targeted-node schedule, plus search statistics.
-fn targeted_node_counterexample() -> String {
-    let golden = std::fs::read_to_string(golden_dir().join("stress-sc-starvation-s13.golden"))
-        .expect("committed golden");
+/// A canonical counterexample: the committed golden's record under the
+/// schedule written by `schedule` lines, plus search statistics.
+fn counterexample(golden: &str, schedule: &str) -> String {
+    let golden = std::fs::read_to_string(golden_dir().join(golden)).expect("committed golden");
     let text = format!(
-        "{golden}schedule = targeted-node\nschedule_node = mpr_sc\n\
-         schedule_start_us = 8300000\nschedule_width_us = 10380000\n\
-         schedule_delay_us = 1180000\nevaluations = 9\nshrink_steps = 4\n\
+        "{golden}{schedule}evaluations = 9\nshrink_steps = 4\n\
          switch_reasons = reach-unsafe:11 state-safer:10\n"
     );
     let parsed = counterexample_from_text(&text).expect("the sample counterexample parses");
@@ -110,6 +110,21 @@ fn targeted_node_counterexample() -> String {
     );
     text
 }
+
+/// The shrunk SC-starvation crash class under a targeted-node schedule.
+fn targeted_node_counterexample() -> String {
+    counterexample(
+        "stress-sc-starvation-s13.golden",
+        "schedule = targeted-node\nschedule_node = mpr_sc\n\
+         schedule_start_us = 8300000\nschedule_width_us = 10380000\n\
+         schedule_delay_us = 1180000\n",
+    )
+}
+
+/// An `iid` schedule section; the tests pair it with the i.i.d. stress
+/// run's golden record.
+const IID_SCHEDULE: &str = "schedule = iid\nschedule_probability = 0.25\n\
+                            schedule_max_delay_us = 300000\nschedule_seed = 42\n";
 
 #[test]
 fn no_parser_panics_on_any_truncation_or_bit_flip() {
@@ -153,14 +168,14 @@ fn no_parser_panics_on_any_truncation_or_bit_flip() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 
-    let counterexample = targeted_node_counterexample();
-    sweep(
-        "counterexample_from_text",
-        counterexample.as_bytes(),
-        |bytes| {
+    for text in [
+        targeted_node_counterexample(),
+        counterexample("stress-jitter-s13.golden", IID_SCHEDULE),
+    ] {
+        sweep("counterexample_from_text", text.as_bytes(), |bytes| {
             let _ = counterexample_from_text(&lossy(bytes));
-        },
-    );
+        });
+    }
 
     // A plan-cache line as a protocol-v2 peer wrote it: v3 has no `PLAN`
     // message, so both directions refuse it.
@@ -191,6 +206,40 @@ fn no_parser_panics_on_any_truncation_or_bit_flip() {
     sweep("parse_request", campaign.as_bytes(), |bytes| {
         let _ = parse_request(&lossy(bytes), 2);
     });
+
+    let program = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/vm_corpus/accept/surveillance-pd.vmasm"),
+    )
+    .expect("committed corpus program");
+    let verified = soter_vm::parse(&lossy(&program)).map(soter_vm::verify);
+    assert!(
+        matches!(verified, Ok(Ok(_))),
+        "the corpus program is accepted"
+    );
+    sweep("soter_vm::parse + verify", &program, |bytes| {
+        if let Ok(parsed) = soter_vm::parse(&lossy(bytes)) {
+            let _ = soter_vm::verify(parsed);
+        }
+    });
+}
+
+/// A probability outside `[0, 1]` (here one bit flip of `0.25`, a NaN
+/// and a negative value) is a malformed `iid` schedule: both parsers
+/// refuse it instead of building a schedule from it.
+#[test]
+fn an_iid_schedule_with_a_bad_probability_is_rejected() {
+    for bad in ["8.25", "NaN", "-0.5"] {
+        let schedule = IID_SCHEDULE.replace("0.25", bad);
+        let err = schedule_from_text(&schedule).expect_err("bad probability must be rejected");
+        assert!(err.to_string().contains("schedule_probability"), "{err}");
+        let text = counterexample("stress-jitter-s13.golden", IID_SCHEDULE)
+            .replace(IID_SCHEDULE, &schedule);
+        assert!(
+            counterexample_from_text(&text).is_err(),
+            "probability {bad} in a counterexample"
+        );
+    }
 }
 
 /// One non-UTF-8 byte in the middle entry costs that entry only: the
@@ -283,4 +332,32 @@ fn an_oversized_request_matrix_is_refused_and_serving_continues() {
     let response = daemon.handle_request_line("CAMPAIGN ok scenarios=serve-smoke shards=1");
     let (id, records) = parse_response(&response).expect("a normal request is answered");
     assert_eq!((id.as_str(), records.len()), ("ok", 1));
+}
+
+/// A `shards=` count far above the worker pool is capped at the pool's
+/// capacity: the `REPORT` header echoes the capped count, and the records
+/// are the in-process campaign's.
+#[test]
+fn a_huge_shard_count_is_capped_at_the_pool() {
+    let daemon = Daemon::new(ServeConfig {
+        shard: ShardConfig {
+            worker_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_soter-worker"))),
+            ..ShardConfig::default()
+        },
+        pool_capacity: 2,
+        ..ServeConfig::default()
+    });
+    let line = "CAMPAIGN capped scenarios=serve-smoke seeds=1,2,3 shards=100000";
+    let response = daemon.handle_request_line(line);
+    assert!(
+        response.starts_with("REPORT capped runs=3 shards=2 "),
+        "{response}"
+    );
+    let (_, records) = parse_response(&response).expect("the capped request is answered");
+    let (_, request) = parse_request(line, 2).expect("the request parses");
+    let in_process = request
+        .in_process_campaign()
+        .expect("known scenarios")
+        .run();
+    assert_eq!(records, in_process.records);
 }

@@ -176,12 +176,6 @@ impl QuadrotorDynamics {
         continuous + 0.5 * a_eff * horizon * step.min(horizon)
     }
 
-    /// Minimum time required to bring the vehicle to rest from speed `speed`
-    /// using maximum braking.
-    pub fn stopping_time(&self, speed: f64) -> f64 {
-        speed.min(self.max_speed) / self.max_acceleration
-    }
-
     /// Worst-case distance travelled while braking to rest from `speed`.
     pub fn stopping_distance(&self, speed: f64) -> f64 {
         let v = speed.min(self.max_speed);
@@ -305,7 +299,6 @@ mod tests {
         let d = QuadrotorDynamics::new(4.0, 10.0, 0.0);
         // v²/(2a) = 64 / 8 = 8
         assert!((d.stopping_distance(8.0) - 8.0).abs() < 1e-12);
-        assert!((d.stopping_time(8.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -192,13 +192,6 @@ pub fn point_segment_distance(p: &Vec3, a: &Vec3, b: &Vec3) -> f64 {
     p.distance(&proj)
 }
 
-/// Samples `n + 1` points uniformly along the segment `a`–`b` (inclusive of
-/// both endpoints).  Used by planners to collision-check candidate edges.
-pub fn sample_segment(a: &Vec3, b: &Vec3, n: usize) -> Vec<Vec3> {
-    assert!(n >= 1, "need at least one interval");
-    (0..=n).map(|i| a.lerp(b, i as f64 / n as f64)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,14 +298,6 @@ mod tests {
         assert!((point_segment_distance(&Vec3::new(12.0, 0.0, 0.0), &a, &b) - 2.0).abs() < 1e-12);
         // Degenerate segment.
         assert!((point_segment_distance(&Vec3::new(1.0, 0.0, 0.0), &a, &a) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_segment_endpoints_and_count() {
-        let pts = sample_segment(&Vec3::ZERO, &Vec3::new(1.0, 0.0, 0.0), 4);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0], Vec3::ZERO);
-        assert_eq!(pts[4], Vec3::new(1.0, 0.0, 0.0));
     }
 
     fn arb_point() -> impl Strategy<Value = Vec3> {

@@ -96,11 +96,6 @@ impl Trajectory {
             .count()
     }
 
-    /// Returns `true` if the trajectory never collides.
-    pub fn is_collision_free(&self, world: &Workspace) -> bool {
-        self.collision_samples(world) == 0
-    }
-
     /// Minimum clearance to obstacles over the whole run (metres).
     pub fn min_clearance(&self, world: &Workspace) -> f64 {
         self.samples
@@ -164,14 +159,6 @@ impl Trajectory {
             .windows(2)
             .filter(|w| w[0].safe_mode && !w[1].safe_mode)
             .count()
-    }
-
-    /// Time of the first collision, if any.
-    pub fn first_collision_time(&self, world: &Workspace) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|s| world.in_collision(s.state.position))
-            .map(|s| s.time)
     }
 }
 
@@ -287,8 +274,6 @@ mod tests {
         );
         let t = straight_run(1000);
         assert!(t.collision_samples(&world) > 0);
-        assert!(!t.is_collision_free(&world));
-        assert!(t.first_collision_time(&world).is_some());
         assert!(t.min_clearance(&world) <= 0.0);
     }
 

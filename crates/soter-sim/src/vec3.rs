@@ -61,12 +61,6 @@ impl Vec3 {
         self.x * self.x + self.y * self.y + self.z * self.z
     }
 
-    /// Norm of the horizontal (x, y) projection.
-    #[inline]
-    pub fn horizontal_norm(&self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
-    }
-
     /// Dot product.
     #[inline]
     pub fn dot(&self, other: &Vec3) -> f64 {
@@ -291,7 +285,6 @@ mod tests {
     fn norm_and_distance() {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert!((v.norm() - 5.0).abs() < 1e-12);
-        assert!((v.horizontal_norm() - 5.0).abs() < 1e-12);
         assert!((v.distance(&Vec3::ZERO) - 5.0).abs() < 1e-12);
         assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
         assert!((v.normalized().norm() - 1.0).abs() < 1e-12);

@@ -52,8 +52,9 @@ impl WindModel {
         }
     }
 
-    /// The worst-case disturbance magnitude this model can produce, used when
-    /// sizing the safe controller's certified envelope.
+    /// The largest disturbance acceleration magnitude this model can
+    /// produce: the bound a reach model must cover to stay sound under
+    /// this wind.
     pub fn worst_case_magnitude(&self) -> f64 {
         match self {
             WindModel::Calm => 0.0,

@@ -193,13 +193,9 @@ impl Workspace {
     }
 
     /// Returns `true` if the straight segment `a`–`b` stays entirely in free
-    /// space (with the robot-radius inflation).
-    pub fn segment_is_free(&self, a: Vec3, b: Vec3) -> bool {
-        self.segment_is_free_with_margin(a, b, 0.0)
-    }
-
-    /// Segment freeness with an extra margin; used by the safe motion planner
-    /// to certify plans with the safe controller's tracking-error bound.
+    /// space (with the robot-radius inflation) plus an extra `margin`; the
+    /// safe motion planner certifies plans with the safe controller's
+    /// tracking-error bound as that margin.
     pub fn segment_is_free_with_margin(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
         if !self.is_free_with_margin(a, margin) || !self.is_free_with_margin(b, margin) {
             return false;
@@ -221,12 +217,8 @@ impl Workspace {
     }
 
     /// Returns `true` if an axis-aligned region (for instance, a forward
-    /// reachable set over-approximation) is entirely inside free space.
-    pub fn region_is_free(&self, region: &Aabb) -> bool {
-        self.region_is_free_with_margin(region, 0.0)
-    }
-
-    /// Region freeness with an extra margin.
+    /// reachable set over-approximation) is entirely inside free space, with
+    /// an extra `margin`.
     pub fn region_is_free_with_margin(&self, region: &Aabb, margin: f64) -> bool {
         let shrunk = Aabb {
             min: self.bounds.min + Vec3::splat(margin),
@@ -356,18 +348,22 @@ mod tests {
         let w = Workspace::city_block();
         let a = Vec3::new(3.0, 13.0, 3.0);
         let b = Vec3::new(25.0, 13.0, 3.0);
-        assert!(!w.segment_is_free(a, b));
+        assert!(!w.segment_is_free_with_margin(a, b, 0.0));
         // Going above the houses is fine.
         let a_high = Vec3::new(3.0, 13.0, 9.0);
         let b_high = Vec3::new(25.0, 13.0, 9.0);
-        assert!(w.segment_is_free(a_high, b_high));
+        assert!(w.segment_is_free_with_margin(a_high, b_high, 0.0));
     }
 
     #[test]
     fn street_segment_is_free() {
         let w = Workspace::city_block();
         // The vertical street at x=5 (houses start at x=9).
-        assert!(w.segment_is_free(Vec3::new(4.0, 3.0, 2.5), Vec3::new(4.0, 47.0, 2.5)));
+        assert!(w.segment_is_free_with_margin(
+            Vec3::new(4.0, 3.0, 2.5),
+            Vec3::new(4.0, 47.0, 2.5),
+            0.0
+        ));
     }
 
     #[test]
@@ -384,14 +380,14 @@ mod tests {
         let w = Workspace::city_block();
         let free_region =
             Aabb::from_center_extents(Vec3::new(4.0, 4.0, 2.0), Vec3::new(1.0, 1.0, 1.0));
-        assert!(w.region_is_free(&free_region));
+        assert!(w.region_is_free_with_margin(&free_region, 0.0));
         let bad_region =
             Aabb::from_center_extents(Vec3::new(13.0, 13.0, 3.0), Vec3::new(1.0, 1.0, 1.0));
-        assert!(!w.region_is_free(&bad_region));
+        assert!(!w.region_is_free_with_margin(&bad_region, 0.0));
         let out_region =
             Aabb::from_center_extents(Vec3::new(0.0, 0.0, 2.0), Vec3::new(3.0, 3.0, 1.0));
         assert!(
-            !w.region_is_free(&out_region),
+            !w.region_is_free_with_margin(&out_region, 0.0),
             "regions leaving the bounds are unsafe"
         );
     }
@@ -430,7 +426,10 @@ mod tests {
             assert!(w.is_free(*p), "corridor mouth {p} must be free");
         }
         let [a, b] = [w.surveillance_points()[0], w.surveillance_points()[1]];
-        assert!(w.segment_is_free(a, b), "the corridor itself is clear");
+        assert!(
+            w.segment_is_free_with_margin(a, b, 0.0),
+            "the corridor itself is clear"
+        );
         // Anything off the centreline street is walled.
         assert!(w.in_collision(Vec3::new(30.0, 3.0, 4.0)));
         assert!(w.in_collision(Vec3::new(30.0, 17.0, 4.0)));
@@ -453,7 +452,7 @@ mod tests {
             let a = pts[i];
             let b = pts[(i + 1) % pts.len()];
             assert!(
-                w.segment_is_free(a, b),
+                w.segment_is_free_with_margin(a, b, 0.0),
                 "circuit leg {a} -> {b} must be free"
             );
         }
@@ -489,7 +488,7 @@ mod tests {
         ) {
             let w = Workspace::city_block();
             let p = Vec3::new(x, y, z);
-            prop_assert_eq!(w.segment_is_free(p, p), w.is_free(p));
+            prop_assert_eq!(w.segment_is_free_with_margin(p, p, 0.0), w.is_free(p));
         }
     }
 }

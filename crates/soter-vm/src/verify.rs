@@ -677,11 +677,6 @@ fn transfer(
     Ok(succs.into_iter().map(|s| (s, st)).collect())
 }
 
-/// Convenience: parse and verify in one step.
-pub fn verify_asm(src: &str) -> Result<VerifiedProgram, crate::error::VmError> {
-    Ok(verify(crate::asm::parse(src)?)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -97,7 +97,7 @@ mod tests {
             crate::reach::ForwardReach::new(crate::sim::QuadrotorDynamics::default(), 0.01, 0.0);
         let _ = crate::ctrl::Px4LikeController::default();
         let _ = crate::plan::GridAstar::default();
-        let _ = crate::runtime::JitterModel::none();
+        let _ = crate::runtime::JitterSchedule::Ideal;
         let _ = crate::drone::DroneStackConfig::default();
         let _ = crate::scenarios::Scenario::new("wired");
         let _ = crate::serve::CampaignRequest::new(["wired"]);

@@ -3,7 +3,7 @@
 
 use soter::core::prelude::*;
 use soter::drone::stack::{build_circuit_stack, AdvancedKind, DroneStackConfig, Protection};
-use soter::runtime::{JitterModel, JitterSchedule, SystematicTester};
+use soter::runtime::{JitterSchedule, SystematicTester};
 use soter::scenarios::catalog;
 use soter::scenarios::runner::{run_scenario, run_stack};
 use soter::sim::trajectory::MissionMetrics;
@@ -83,8 +83,8 @@ fn moderate_scheduling_jitter_preserves_safety_most_of_the_time() {
     };
     let waypoints = workspace.surveillance_points().to_vec();
     let (system, handle) = build_circuit_stack(&config, waypoints, false);
-    let jitter = JitterModel::new(0.05, Duration::from_millis(30), 9);
-    let outcome = run_stack(system, handle, 200.0, Some(4), jitter.into());
+    let jitter = JitterSchedule::iid(0.05, Duration::from_millis(30), 9);
+    let outcome = run_stack(system, handle, 200.0, Some(4), jitter);
     let metrics = MissionMetrics::from_trajectory(
         &outcome.trajectory,
         &workspace,
