@@ -292,6 +292,15 @@ mod tests {
     }
 
     #[test]
+    fn iid_zero_probability_never_delays() {
+        let schedule = JitterSchedule::iid(0.0, Duration::from_millis(20), 5);
+        assert!(!schedule.is_enabled());
+        assert!(iid_stream(0.0, Duration::from_millis(20), 5, 100)
+            .iter()
+            .all(|&d| d == 0));
+    }
+
+    #[test]
     fn iid_delays_are_bounded() {
         let stream = iid_stream(1.0, Duration::from_millis(50), 3, 1000);
         assert!(stream.iter().all(|&d| d <= 50_000));
