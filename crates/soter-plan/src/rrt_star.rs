@@ -361,30 +361,30 @@ impl RrtStar {
             idx = tree[i].parent;
         }
         path.reverse();
-        self.shortcut(workspace, path)
+        shortcut(workspace, path, self.config.margin)
     }
+}
 
-    /// Greedy shortcutting: repeatedly skip intermediate waypoints whenever
-    /// the direct segment is free.
-    fn shortcut(&self, workspace: &Workspace, path: Vec<Vec3>) -> Vec<Vec3> {
-        if path.len() <= 2 {
-            return path;
-        }
-        let mut out = vec![path[0]];
-        let mut i = 0usize;
-        while i + 1 < path.len() {
-            let mut j = path.len() - 1;
-            while j > i + 1 {
-                if workspace.segment_is_free_with_margin(path[i], path[j], self.config.margin) {
-                    break;
-                }
-                j -= 1;
-            }
-            out.push(path[j]);
-            i = j;
-        }
-        out
+/// Greedy shortcutting, shared by both planners: from each kept waypoint,
+/// jump to the farthest later one whose direct segment keeps `margin`.
+pub(crate) fn shortcut(workspace: &Workspace, path: Vec<Vec3>, margin: f64) -> Vec<Vec3> {
+    if path.len() <= 2 {
+        return path;
     }
+    let mut out = vec![path[0]];
+    let mut i = 0usize;
+    while i + 1 < path.len() {
+        let mut j = path.len() - 1;
+        while j > i + 1 {
+            if workspace.segment_is_free_with_margin(path[i], path[j], margin) {
+                break;
+            }
+            j -= 1;
+        }
+        out.push(path[j]);
+        i = j;
+    }
+    out
 }
 
 impl MotionPlanner for RrtStar {
@@ -992,7 +992,6 @@ mod tests {
     #[test]
     fn shortcutting_reduces_waypoint_count() {
         let w = Workspace::city_block();
-        let p = RrtStar::default();
         // A needlessly zig-zagging path along an open street.
         let zigzag = vec![
             Vec3::new(3.0, 3.0, 2.5),
@@ -1001,7 +1000,7 @@ mod tests {
             Vec3::new(4.5, 30.0, 2.5),
             Vec3::new(3.0, 40.0, 2.5),
         ];
-        let short = p.shortcut(&w, zigzag.clone());
+        let short = shortcut(&w, zigzag.clone(), RrtStarConfig::default().margin);
         assert!(short.len() < zigzag.len());
         assert_eq!(short[0], zigzag[0]);
         assert_eq!(*short.last().unwrap(), *zigzag.last().unwrap());

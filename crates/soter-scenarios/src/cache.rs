@@ -52,6 +52,7 @@
 use crate::campaign::RunRecord;
 use crate::golden::{read_frame, write_encoded_frame, EncodedRecord, FrameError};
 use crate::spec::Scenario;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -130,24 +131,19 @@ struct Slot {
     stamp: u64,
 }
 
+/// The LRU index.  A hit or a re-insert only writes the slot's new stamp;
+/// `order` is edited by new inserts and evictions alone.  Every live slot
+/// has exactly one `order` entry, keyed no later than the slot's stamp, so
+/// eviction pops the oldest entry and, when its slot has been stamped
+/// since, re-queues it at its current stamp and pops again: still exact
+/// LRU, since the first entry whose key equals its slot's stamp holds the
+/// oldest stamp of all.
 struct LruInner {
     map: HashMap<u64, Slot>,
     /// `stamp -> fingerprint`, oldest first; stamps are unique (a single
-    /// monotonically-increasing clock), so eviction pops the first entry.
+    /// monotonically-increasing clock).
     order: BTreeMap<u64, u64>,
     clock: u64,
-}
-
-impl LruInner {
-    fn touch(&mut self, fingerprint: u64) {
-        self.clock += 1;
-        let stamp = self.clock;
-        if let Some(slot) = self.map.get_mut(&fingerprint) {
-            self.order.remove(&slot.stamp);
-            slot.stamp = stamp;
-            self.order.insert(stamp, fingerprint);
-        }
-    }
 }
 
 /// How a segment load went; see [`ResultCache::segment_stats`].
@@ -327,12 +323,13 @@ impl ResultCache {
         accept: impl FnOnce(&RunRecord) -> bool,
     ) -> Option<Arc<EncodedRecord>> {
         let mut inner = self.inner.lock().expect("result cache lock");
-        match inner.map.get(&fingerprint.0) {
+        let LruInner { map, clock, .. } = &mut *inner;
+        match map.get_mut(&fingerprint.0) {
             Some(slot) if accept(slot.entry.record()) => {
-                let entry = Arc::clone(&slot.entry);
-                inner.touch(fingerprint.0);
+                *clock += 1;
+                slot.stamp = *clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
+                Some(Arc::clone(&slot.entry))
             }
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -371,26 +368,34 @@ impl ResultCache {
     /// replacing a different one, text and all).
     fn insert_in_memory(&self, fingerprint: u64, entry: Arc<EncodedRecord>) -> bool {
         let mut inner = self.inner.lock().expect("result cache lock");
-        if let Some(slot) = inner.map.get_mut(&fingerprint) {
-            let changed = slot.entry.record() != entry.record();
-            if changed {
-                slot.entry = entry;
-            }
-            inner.touch(fingerprint);
-            return changed;
-        }
         inner.clock += 1;
         let stamp = inner.clock;
-        inner.map.insert(fingerprint, Slot { entry, stamp });
+        match inner.map.entry(fingerprint) {
+            Entry::Occupied(live) => {
+                let slot = live.into_mut();
+                slot.stamp = stamp;
+                let changed = slot.entry.record() != entry.record();
+                if changed {
+                    slot.entry = entry;
+                }
+                return changed;
+            }
+            Entry::Vacant(vacant) => {
+                vacant.insert(Slot { entry, stamp });
+            }
+        }
         inner.order.insert(stamp, fingerprint);
         while inner.map.len() > self.capacity {
-            let (&oldest, &victim) = inner
+            let (queued, victim) = inner
                 .order
-                .iter()
-                .next()
+                .pop_first()
                 .expect("order tracks every map entry");
-            inner.order.remove(&oldest);
-            inner.map.remove(&victim);
+            let current = inner.map[&victim].stamp;
+            if current == queued {
+                inner.map.remove(&victim);
+            } else {
+                inner.order.insert(current, victim);
+            }
         }
         true
     }
@@ -519,6 +524,115 @@ mod tests {
         assert!(cache.lookup(fps[2]).is_some());
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 1);
+    }
+
+    /// Recency-ordered reference LRU: least recent first.
+    struct ModelLru {
+        capacity: usize,
+        slots: Vec<(u64, RunRecord)>,
+    }
+
+    impl ModelLru {
+        fn position(&self, fingerprint: u64) -> Option<usize> {
+            self.slots.iter().position(|(fp, _)| *fp == fingerprint)
+        }
+
+        fn lookup(&mut self, fingerprint: u64) -> Option<RunRecord> {
+            let slot = self.slots.remove(self.position(fingerprint)?);
+            self.slots.push(slot.clone());
+            Some(slot.1)
+        }
+
+        /// Whether the insert changes the cache's content (and so appends
+        /// to its segment).
+        fn insert(&mut self, fingerprint: u64, record: RunRecord) -> bool {
+            let old = self.position(fingerprint).map(|i| self.slots.remove(i));
+            let changed = old.is_none_or(|(_, old)| old != record);
+            self.slots.push((fingerprint, record));
+            if self.slots.len() > self.capacity {
+                self.slots.remove(0);
+            }
+            changed
+        }
+
+        fn fingerprints(&self) -> Vec<u64> {
+            let mut fps: Vec<u64> = self.slots.iter().map(|(fp, _)| *fp).collect();
+            fps.sort_unstable();
+            fps
+        }
+    }
+
+    fn live_fingerprints(cache: &ResultCache) -> Vec<u64> {
+        let mut fps: Vec<u64> = cache.inner.lock().unwrap().map.keys().copied().collect();
+        fps.sort_unstable();
+        fps
+    }
+
+    /// Seeded random inserts, re-inserts (same and changed record) and
+    /// lookups against the reference LRU, at every capacity 1–8: hits,
+    /// records and survivors agree after every operation, so the lazy
+    /// re-queue of stale `order` entries evicts exactly the LRU victim.
+    /// The segment then replays more entries than the capacity into a
+    /// fresh cache, which must keep the reference's survivors too.
+    #[test]
+    fn lru_matches_a_recency_ordered_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let dir = std::env::temp_dir().join(format!(
+            "soter-result-cache-{}-{}",
+            std::process::id(),
+            "lru-model"
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        for capacity in 1..=8usize {
+            let path = dir.join(format!("results-{capacity}.seg"));
+            let cache = ResultCache::with_segment(capacity, &path).expect("create segment");
+            let mut model = ModelLru {
+                capacity,
+                slots: Vec::new(),
+            };
+            let mut appended = Vec::new();
+            let mut rng = SmallRng::seed_from_u64(capacity as u64);
+            let universe = 2 * capacity as u64 + 2;
+            for step in 0..600 {
+                let fp = rng.random_range(0..universe);
+                match rng.random_range(0..3u32) {
+                    0 => {
+                        let got = cache.lookup(ScenarioFingerprint(fp));
+                        assert_eq!(got, model.lookup(fp), "cap {capacity} step {step}");
+                    }
+                    op => {
+                        // Op 1 re-inserts the fingerprint's usual record,
+                        // op 2 a changed one.
+                        let rec = record(&format!("s{fp}"), fp + u64::from(op == 2) * step);
+                        cache.insert(ScenarioFingerprint(fp), &rec);
+                        if model.insert(fp, rec.clone()) {
+                            appended.push((fp, rec));
+                        }
+                    }
+                }
+                assert_eq!(
+                    live_fingerprints(&cache),
+                    model.fingerprints(),
+                    "cap {capacity} step {step}"
+                );
+            }
+            assert!(appended.len() > capacity);
+            let reborn = ResultCache::with_segment(capacity, &path).expect("reload segment");
+            assert_eq!(reborn.segment_stats().loaded, appended.len());
+            let mut replayed = ModelLru {
+                capacity,
+                slots: Vec::new(),
+            };
+            for (fp, rec) in appended {
+                replayed.insert(fp, rec);
+            }
+            assert_eq!(live_fingerprints(&reborn), replayed.fingerprints());
+            for (fp, rec) in &replayed.slots {
+                assert_eq!(reborn.lookup(ScenarioFingerprint(*fp)).as_ref(), Some(rec));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

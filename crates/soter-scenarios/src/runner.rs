@@ -533,6 +533,12 @@ fn digest_mission(
     h.finish()
 }
 
+/// The Sec. V-C comparison over `queries` sampled start/goal pairs: one
+/// fault-injected RRT* answers each query once, and that answer is scored
+/// for both arms, as the unprotected drone flies it and through the
+/// planner RTA module's decision (φ_plan check, fallback to grid A*).
+/// The tests pin this against a reference that runs one identically-seeded
+/// planner per arm.
 fn run_planner_queries(
     scenario: &Scenario,
     queries: usize,
@@ -559,16 +565,14 @@ fn run_planner_queries(
             pairs.push((a, b));
         }
     }
-    let buggy_config = || BuggyRrtStarConfig {
+    let mut advanced = BuggyRrtStar::new(BuggyRrtStarConfig {
         inner: RrtStarConfig {
             seed,
             ..RrtStarConfig::default()
         },
         bug_probability,
         bug_seed: seed.wrapping_add(17),
-    };
-    let mut unprotected = BuggyRrtStar::new(buggy_config());
-    let mut protected_ac = BuggyRrtStar::new(buggy_config());
+    });
     let mut safe_planner = GridAstar::default();
     let oracle = soter_drone::oracles::PlanOracle::new(workspace.clone(), 0.0);
     let mut unprotected_colliding = 0usize;
@@ -599,15 +603,15 @@ fn run_planner_queries(
         h.write_f64(b.z);
         // Unprotected: whatever the buggy planner says is what the drone
         // flies.
-        if let Some(plan) = unprotected.plan(&workspace, *a, *b) {
-            if validate_plan(&workspace, &plan, 0.0).is_err() {
+        let ac_plan = advanced.plan(&workspace, *a, *b);
+        if let Some(plan) = &ac_plan {
+            if validate_plan(&workspace, plan, 0.0).is_err() {
                 unprotected_colliding += 1;
             }
         }
-        // Protected: the decision module validates the advanced planner's
-        // output (the φ_plan check of the planner RTA module) and falls back
-        // to the certified planner when it is invalid.
-        let ac_plan = protected_ac.plan(&workspace, *a, *b);
+        // Protected: the decision module validates the same answer (the
+        // φ_plan check of the planner RTA module) and falls back to the
+        // certified planner when it is invalid.
         let mut observed = soter_core::topic::TopicMap::new();
         if let Some(plan) = &ac_plan {
             observed.insert(topics::MOTION_PLAN, topics::plan_to_value(plan));
@@ -660,6 +664,130 @@ mod tests {
     use crate::spec::TargetPolicySpec;
     use crate::spec::WorkspaceSpec;
 
+    /// The reference for [`run_planner_queries`]: the loop as it ran with one
+    /// identically-seeded fault-injected planner per arm, kept to pin that
+    /// the shared planner changes no plan, count or digest.
+    fn run_planner_queries_two_planners(
+        scenario: &Scenario,
+        queries: usize,
+        bug_probability: f64,
+    ) -> ScenarioOutcome {
+        let workspace = scenario.workspace.build();
+        let seed = scenario.seed;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut pairs = Vec::new();
+        // Bounded sampling: a custom workspace whose free space cannot yield
+        // well-separated pairs produces *fewer* queries (visible in the report)
+        // instead of hanging the campaign worker.
+        let max_attempts = queries.saturating_mul(400).max(4_000);
+        let mut attempts = 0usize;
+        while pairs.len() < queries && attempts < max_attempts {
+            attempts += 1;
+            let (Some(a), Some(b)) = (
+                workspace.sample_free_point(&mut rng, 200),
+                workspace.sample_free_point(&mut rng, 200),
+            ) else {
+                continue;
+            };
+            if a.distance(&b) > 5.0 {
+                pairs.push((a, b));
+            }
+        }
+        let buggy_config = || BuggyRrtStarConfig {
+            inner: RrtStarConfig {
+                seed,
+                ..RrtStarConfig::default()
+            },
+            bug_probability,
+            bug_seed: seed.wrapping_add(17),
+        };
+        let mut unprotected = BuggyRrtStar::new(buggy_config());
+        let mut protected_ac = BuggyRrtStar::new(buggy_config());
+        let mut safe_planner = GridAstar::default();
+        let oracle = soter_drone::oracles::PlanOracle::new(workspace.clone(), 0.0);
+        let mut unprotected_colliding = 0usize;
+        let mut protected_colliding = 0usize;
+        let mut dm_switches = 0usize;
+        let mut h = TraceHasher::new();
+        h.write_str(&scenario.name);
+        h.write_u64(seed);
+        let hash_plan = |h: &mut TraceHasher, plan: &Option<Vec<Vec3>>| match plan {
+            Some(points) => {
+                h.write_u64(points.len() as u64);
+                for p in points {
+                    h.write_f64(p.x);
+                    h.write_f64(p.y);
+                    h.write_f64(p.z);
+                }
+            }
+            None => {
+                h.write_u8(0xff);
+            }
+        };
+        for (a, b) in &pairs {
+            h.write_f64(a.x);
+            h.write_f64(a.y);
+            h.write_f64(a.z);
+            h.write_f64(b.x);
+            h.write_f64(b.y);
+            h.write_f64(b.z);
+            // Unprotected: whatever the buggy planner says is what the drone
+            // flies.
+            if let Some(plan) = unprotected.plan(&workspace, *a, *b) {
+                if validate_plan(&workspace, &plan, 0.0).is_err() {
+                    unprotected_colliding += 1;
+                }
+            }
+            // Protected: the decision module validates the advanced planner's
+            // output (the φ_plan check of the planner RTA module) and falls back
+            // to the certified planner when it is invalid.
+            let ac_plan = protected_ac.plan(&workspace, *a, *b);
+            let mut observed = soter_core::topic::TopicMap::new();
+            if let Some(plan) = &ac_plan {
+                observed.insert(topics::MOTION_PLAN, topics::plan_to_value(plan));
+            }
+            let final_plan = if oracle.is_safe(&observed) && ac_plan.is_some() {
+                ac_plan
+            } else {
+                dm_switches += 1;
+                safe_planner.plan(&workspace, *a, *b)
+            };
+            hash_plan(&mut h, &final_plan);
+            if let Some(plan) = final_plan {
+                if validate_plan(&workspace, &plan, 0.0).is_err() {
+                    protected_colliding += 1;
+                }
+            }
+        }
+        let report = PlannerRtaReport {
+            queries: pairs.len(),
+            unprotected_colliding_plans: unprotected_colliding,
+            protected_colliding_plans: protected_colliding,
+            dm_switches_to_safe: dm_switches,
+        };
+        h.write_u64(report.queries as u64);
+        h.write_u64(report.unprotected_colliding_plans as u64);
+        h.write_u64(report.protected_colliding_plans as u64);
+        h.write_u64(report.dm_switches_to_safe as u64);
+        ScenarioOutcome {
+            scenario: scenario.name.clone(),
+            seed: scenario.seed,
+            digest: h.finish(),
+            run: None,
+            metrics: None,
+            safety_violations: report.protected_colliding_plans,
+            separation_violations: 0,
+            invariant_violations: 0,
+            mode_switches: report.dm_switches_to_safe,
+            completed: true,
+            max_deviation: None,
+            planner: Some(report),
+            fleet: None,
+            interventions: 0,
+            time_in_sc: Duration::ZERO,
+        }
+    }
+
     #[test]
     fn scenario_runs_are_seed_deterministic() {
         let scenario = Scenario::new("determinism")
@@ -693,6 +821,26 @@ mod tests {
         let report = a.planner.expect("planner scenarios produce a report");
         assert_eq!(report.queries, 10);
         assert_eq!(report.protected_colliding_plans, 0);
+    }
+
+    /// The shared planner answers like two lockstep planners across the
+    /// seed × bug-probability × query-count grid; the golden pins only
+    /// seed 5 at 20 queries.
+    #[test]
+    fn one_planner_scores_both_arms_like_two_lockstep_planners() {
+        for seed in 0..8 {
+            for bug_probability in [0.0, 0.3, 1.0] {
+                for queries in [1, 6, 20] {
+                    let scenario = crate::catalog::planner_rta(seed, queries);
+                    let shared = run_planner_queries(&scenario, queries, bug_probability);
+                    let reference =
+                        run_planner_queries_two_planners(&scenario, queries, bug_probability);
+                    let case = format!("seed {seed}, p {bug_probability}, {queries} queries");
+                    assert_eq!(shared.planner, reference.planner, "{case}");
+                    assert_eq!(shared.digest, reference.digest, "{case}");
+                }
+            }
+        }
     }
 
     #[test]
