@@ -2,7 +2,7 @@
 //! without the planner-query cache:
 //!
 //! * `sequential-1w` / `sequential-4w` — every candidate is an independent
-//!   `run_scenario` through the work-stealing campaign engine with no
+//!   `run_scenario` through the campaign engine with no
 //!   planner cache, at 1 and 4 workers;
 //! * `plan-cache-cold` — a fresh `Falsifier` (it owns a `PlanCache`), so
 //!   every RRT*/A* query of the first evaluation is a miss;
@@ -134,16 +134,7 @@ fn sequential_records(workers: usize) -> Vec<RunRecord> {
         .iter()
         .map(|s| base_scenario().with_jitter(JitterSpec::Schedule(s.clone())))
         .collect();
-    let stream = Campaign::new(scenarios).with_workers(workers).stream();
-    let total = stream.progress().total();
-    let mut slots: Vec<Option<RunRecord>> = (0..total).map(|_| None).collect();
-    for item in stream {
-        slots[item.index] = Some(item.record);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every candidate evaluates"))
-        .collect()
+    Campaign::new(scenarios).with_workers(workers).run().records
 }
 
 /// Best-of-`reps` schedules/s of `eval` (minimum-wall-clock, the standard

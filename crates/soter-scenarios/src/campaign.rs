@@ -1,34 +1,22 @@
-//! Campaign fan-out: run a scenario × seed matrix on a work-stealing
-//! thread pool, streaming per-run records as they complete.
+//! Campaign fan-out: run a scenario × seed matrix on a scoped thread pool.
 //!
-//! A [`Campaign`] is a matrix of scenarios and seeds.  Jobs are dealt
-//! round-robin into one deque per worker; a worker pops its own deque from
-//! the front and, when empty, *steals* from the back of a peer's deque, so
-//! a worker stuck on one long airspace run cannot strand the jobs dealt
-//! behind it (static chunking would).  Because each job is an independent,
-//! seed-deterministic simulation, the per-run results are identical
-//! whatever the schedule:
-//!
-//! * [`Campaign::run`] returns a [`CampaignReport`] whose records are
-//!   always in matrix order — an 8-worker campaign is byte-for-byte
-//!   comparable with a sequential one (pinned by `tests/campaign.rs`,
-//!   fleets included),
-//! * [`Campaign::stream`] returns an iterator yielding records in
-//!   *completion* order through a bounded channel, so a 10k-run campaign
-//!   holds only O(workers + channel capacity) records in memory at a time;
-//!   each record carries its matrix index for deterministic reassembly.
-//!   Dropping the stream early cancels all outstanding work.
+//! A [`Campaign`] is a matrix of scenarios and seeds.  [`Campaign::run`]
+//! starts `min(workers, jobs)` scoped threads; each one claims the next
+//! matrix index from one shared counter, runs that job and stores its
+//! record in the index's slot, so a worker stuck on one long airspace run
+//! never strands the jobs behind it (static chunking would).  Because each
+//! job is an independent, seed-deterministic simulation, the records are
+//! identical whatever the schedule, and the report lists them in matrix
+//! order: an 8-worker campaign is byte-for-byte comparable with a
+//! sequential one (pinned by `tests/campaign.rs`, fleets included).
 
-use crate::cache::{scenario_fingerprint, ResultCache};
 use crate::runner::{run_scenario_cached, ScenarioOutcome};
 use crate::spec::Scenario;
 use soter_plan::cache::PlanCache;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A scenario × seed matrix with a worker count.
@@ -53,9 +41,7 @@ pub struct Campaign {
     scenarios: Vec<Scenario>,
     seeds: Vec<u64>,
     workers: usize,
-    channel_capacity: Option<usize>,
     plan_cache: Option<Arc<PlanCache>>,
-    result_cache: Option<Arc<ResultCache>>,
 }
 
 impl Campaign {
@@ -66,9 +52,7 @@ impl Campaign {
             scenarios,
             seeds: Vec::new(),
             workers: 1,
-            channel_capacity: None,
             plan_cache: None,
-            result_cache: None,
         }
     }
 
@@ -85,15 +69,6 @@ impl Campaign {
         self
     }
 
-    /// Overrides the bound of the streaming channel (default: twice the
-    /// worker count).  Smaller bounds trade throughput for a tighter peak
-    /// record buffer; the bound is what keeps 10k-run campaigns in bounded
-    /// memory when the consumer is slower than the workers.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = Some(capacity.max(1));
-        self
-    }
-
     /// Shares one planner-query cache across every run of the campaign
     /// (see `soter_plan::cache`).  The cache replays exact query
     /// histories, so records — digests included — are byte-identical with
@@ -101,17 +76,6 @@ impl Campaign {
     /// queries stop paying per-run replanning.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Shares a content-addressed [`ResultCache`] across runs: jobs whose
-    /// fingerprint (resolved spec + seed + filter + engine salt, see
-    /// `crate::cache`) is already cached return the stored record without
-    /// simulating, and fresh records are inserted for the next campaign.
-    /// Because every run is seed-deterministic, a hit is byte-identical to
-    /// re-running the job — the same guarantee the golden suite pins.
-    pub fn with_result_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.result_cache = Some(cache);
         self
     }
 
@@ -128,336 +92,71 @@ impl Campaign {
         }
     }
 
-    /// Runs every job and aggregates a [`CampaignReport`] with records in
-    /// matrix order (independent of the worker count and schedule).
+    /// Runs every job on `min(workers, jobs)` threads and aggregates a
+    /// [`CampaignReport`] with records in matrix order (independent of the
+    /// worker count and schedule).  An empty matrix starts no thread.
     ///
     /// # Panics
     ///
     /// If a job panicked, the original panic is re-raised here as
-    /// `campaign worker panicked at job #i (\`name\`): message` — always
-    /// from the recorded panic message, never masked by the missing-slot
-    /// unwrap below.
+    /// `campaign worker panicked at job #i (\`name\`): message`.  Workers
+    /// claim no further job once one has panicked.
     pub fn run(&self) -> CampaignReport {
         let started = Instant::now();
-        let mut stream = self.stream();
-        let total = stream.progress().total();
-        let mut slots: Vec<Option<RunRecord>> = (0..total).map(|_| None).collect();
-        for item in stream.by_ref() {
-            slots[item.index] = Some(item.record);
+        let jobs = self.jobs();
+        let workers = self.workers.min(jobs.len());
+        let next = AtomicUsize::new(0);
+        let slots: Vec<OnceLock<RunRecord>> = jobs.iter().map(|_| OnceLock::new()).collect();
+        let panicked: Mutex<Option<String>> = Mutex::new(None);
+        let work = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(index) else {
+                break;
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_scenario_cached(job, self.plan_cache.as_ref())
+            }));
+            match outcome {
+                Ok(outcome) => {
+                    slots[index]
+                        .set(RunRecord::from_outcome(&outcome))
+                        .expect("each index is claimed once");
+                }
+                Err(payload) => {
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| s.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "unknown panic payload".into());
+                    let mut slot = panicked.lock().expect("panic slot lock");
+                    slot.get_or_insert(format!("job #{index} (`{}`): {message}", job.name));
+                    // Exhaust the counter so no worker claims another job.
+                    next.store(jobs.len(), Ordering::Relaxed);
+                    break;
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            // Join explicitly: the scope's implicit wait can return before
+            // the OS threads exit, and a caller that runs campaigns back to
+            // back (the falsifier) would then start threads that each take
+            // a fresh malloc arena.
+            for handle in handles {
+                handle.join().expect("campaign workers catch job panics");
+            }
+        });
+        if let Some(message) = panicked.into_inner().expect("panic slot lock") {
+            panic!("campaign worker panicked at {message}");
         }
-        // Deterministic re-raise: if any worker recorded a panic, surface
-        // it *before* touching the slots.  A panicking job cancels the
-        // campaign, so other slots are legitimately empty — unwrapping one
-        // of those first would die with "every job was claimed and
-        // completed" and mask the root cause.
-        stream.reraise_worker_panic();
         let records = slots
             .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.unwrap_or_else(|| {
-                    panic!(
-                        "campaign job #{index} never completed \
-                         (a worker thread died without recording a panic)"
-                    )
-                })
-            })
+            .map(|slot| slot.into_inner().expect("every claimed job completed"))
             .collect();
         CampaignReport {
             records,
-            workers: self.workers.max(1),
+            workers,
             wall_clock: started.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// Starts the campaign on the worker pool and returns a stream of
-    /// per-run records in *completion* order.  The channel between workers
-    /// and consumer is bounded, so the peak number of buffered records is
-    /// O(workers + capacity) however large the campaign; dropping the
-    /// stream before exhaustion cancels all not-yet-started jobs and joins
-    /// the workers.
-    pub fn stream(&self) -> CampaignStream {
-        let jobs = Arc::new(self.jobs());
-        // Degenerate campaigns (no scenarios, or scenarios × no jobs) must
-        // terminate cleanly rather than wait on workers that have nothing
-        // to do: spawn no threads and hand back an already-closed channel,
-        // so the stream drains to an empty report immediately.
-        if jobs.is_empty() {
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            drop(tx);
-            return CampaignStream {
-                rx: Some(rx),
-                cancel: Arc::new(AtomicBool::new(false)),
-                panic_slot: Arc::new(Mutex::new(None)),
-                handles: Vec::new(),
-                progress: CampaignProgress {
-                    executed: Arc::new(AtomicUsize::new(0)),
-                    buffered: Arc::new(AtomicUsize::new(0)),
-                    peak_buffered: Arc::new(AtomicUsize::new(0)),
-                    total: 0,
-                },
-            };
-        }
-        // `with_workers` clamps to ≥ 1 at the setter; clamp again here so
-        // the worker count can never reach 0 (a zero step would panic the
-        // round-robin deal below) and never exceeds the job count.
-        let workers = self.workers.clamp(1, jobs.len());
-        let capacity = self.channel_capacity.unwrap_or(2 * workers);
-        let queues: Arc<Vec<Mutex<VecDeque<usize>>>> = Arc::new(
-            (0..workers)
-                .map(|w| Mutex::new((w..jobs.len()).step_by(workers).collect()))
-                .collect(),
-        );
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        let cancel = Arc::new(AtomicBool::new(false));
-        let panic_slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let progress = CampaignProgress {
-            executed: Arc::new(AtomicUsize::new(0)),
-            buffered: Arc::new(AtomicUsize::new(0)),
-            peak_buffered: Arc::new(AtomicUsize::new(0)),
-            total: jobs.len(),
-        };
-        let handles = (0..workers)
-            .map(|w| {
-                let jobs = Arc::clone(&jobs);
-                let queues = Arc::clone(&queues);
-                let tx = tx.clone();
-                let cancel = Arc::clone(&cancel);
-                let panic_slot = Arc::clone(&panic_slot);
-                let progress = progress.clone();
-                let cache = self.plan_cache.clone();
-                let results = self.result_cache.clone();
-                std::thread::spawn(move || {
-                    worker_loop(
-                        w,
-                        &jobs,
-                        &queues,
-                        &tx,
-                        &cancel,
-                        &panic_slot,
-                        &progress,
-                        cache.as_ref(),
-                        results.as_ref(),
-                    )
-                })
-            })
-            .collect();
-        drop(tx);
-        CampaignStream {
-            rx: Some(rx),
-            cancel,
-            panic_slot,
-            handles,
-            progress,
-        }
-    }
-}
-
-/// Evaluates one claimed job.  A result-cache hit skips simulation
-/// entirely; a miss runs the job (through the shared planner-query cache,
-/// if any) and inserts the fresh record for the next campaign.  One
-/// fingerprint serves both the lookup and the insert.
-fn run_job(
-    job: &Scenario,
-    cache: Option<&Arc<PlanCache>>,
-    result_cache: Option<&Arc<ResultCache>>,
-) -> RunRecord {
-    let Some(rc) = result_cache else {
-        return RunRecord::from_outcome(&run_scenario_cached(job, cache));
-    };
-    let fingerprint = scenario_fingerprint(job);
-    if let Some(entry) = rc.lookup_job(fingerprint, &job.name, job.seed) {
-        return entry.record().clone();
-    }
-    let record = RunRecord::from_outcome(&run_scenario_cached(job, cache));
-    rc.insert(fingerprint, &record);
-    record
-}
-
-/// One worker: claims one job at a time — the front of its own deque, else
-/// the back of the first peer deque that has any — runs it through
-/// [`run_job`] and sends the record, until the deques drain or the consumer
-/// goes away.  A panic in a job is caught, recorded in `panic_slot` and
-/// re-raised on the consumer's side when the stream drains (workers are
-/// detached threads, so an unobserved panic would otherwise silently
-/// truncate the stream).
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    own: usize,
-    jobs: &[Scenario],
-    queues: &[Mutex<VecDeque<usize>>],
-    tx: &SyncSender<CampaignRecord>,
-    cancel: &AtomicBool,
-    panic_slot: &Mutex<Option<String>>,
-    progress: &CampaignProgress,
-    cache: Option<&Arc<PlanCache>>,
-    result_cache: Option<&Arc<ResultCache>>,
-) {
-    let claim = || -> Option<usize> {
-        let own_job = queues[own].lock().expect("queue lock").pop_front();
-        own_job.or_else(|| {
-            (1..queues.len()).find_map(|offset| {
-                let victim = (own + offset) % queues.len();
-                queues[victim].lock().expect("queue lock").pop_back()
-            })
-        })
-    };
-    while !cancel.load(Ordering::Relaxed) {
-        let Some(index) = claim() else {
-            break;
-        };
-        let record = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(&jobs[index], cache, result_cache)
-        }));
-        let record = match record {
-            Ok(record) => record,
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic payload".into());
-                let mut slot = panic_slot.lock().expect("panic slot lock");
-                slot.get_or_insert(format!("job #{index} (`{}`): {message}", jobs[index].name));
-                cancel.store(true, Ordering::Relaxed);
-                break;
-            }
-        };
-        progress.executed.fetch_add(1, Ordering::Relaxed);
-        let buffered = progress.buffered.fetch_add(1, Ordering::Relaxed) + 1;
-        progress
-            .peak_buffered
-            .fetch_max(buffered, Ordering::Relaxed);
-        if tx.send(CampaignRecord { index, record }).is_err() {
-            // The consumer dropped the stream: the record was never
-            // buffered, so roll the accounting back before cancelling
-            // everyone — otherwise `buffered` leaks one count per worker
-            // on every cancellation.
-            progress.buffered.fetch_sub(1, Ordering::Relaxed);
-            cancel.store(true, Ordering::Relaxed);
-            break;
-        }
-    }
-}
-
-/// A record streamed out of a running campaign, tagged with its position
-/// in the deterministic matrix order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignRecord {
-    /// Index of the job in [`Campaign::jobs`] order.
-    pub index: usize,
-    /// The run's record.
-    pub record: RunRecord,
-}
-
-/// A cloneable live view of a streaming campaign's progress.
-#[derive(Debug, Clone)]
-pub struct CampaignProgress {
-    executed: Arc<AtomicUsize>,
-    buffered: Arc<AtomicUsize>,
-    peak_buffered: Arc<AtomicUsize>,
-    total: usize,
-}
-
-impl CampaignProgress {
-    /// Jobs fully executed so far (whether or not consumed yet).
-    pub fn executed(&self) -> usize {
-        self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Records currently buffered between the workers and the consumer.
-    ///
-    /// Every buffered record is eventually accounted back out — consumed
-    /// through the stream, discarded by the stream's `Drop`, or rolled back
-    /// when a send fails — so this returns to 0 once the stream is drained
-    /// *or* dropped mid-campaign (pinned by
-    /// `buffered_accounting_returns_to_zero_after_a_dropped_stream`).
-    pub fn buffered(&self) -> usize {
-        self.buffered.load(Ordering::Relaxed)
-    }
-
-    /// The highest number of records ever buffered between the workers and
-    /// the consumer — bounded by `workers + channel capacity + 1` however
-    /// long the campaign runs (each worker holds at most one record while
-    /// blocked on the channel, and the consumer's bookkeeping lags one
-    /// receive behind).
-    pub fn peak_buffered(&self) -> usize {
-        self.peak_buffered.load(Ordering::Relaxed)
-    }
-
-    /// Total number of jobs in the campaign.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-}
-
-/// The streaming side of a running campaign: an iterator over
-/// [`CampaignRecord`]s in completion order.  Dropping it cancels all
-/// outstanding work and joins the worker threads.
-pub struct CampaignStream {
-    rx: Option<Receiver<CampaignRecord>>,
-    cancel: Arc<AtomicBool>,
-    panic_slot: Arc<Mutex<Option<String>>>,
-    handles: Vec<JoinHandle<()>>,
-    progress: CampaignProgress,
-}
-
-impl CampaignStream {
-    /// A cloneable progress handle (live even after the stream is dropped).
-    pub fn progress(&self) -> CampaignProgress {
-        self.progress.clone()
-    }
-
-    /// Re-raises a worker panic recorded while the campaign ran, naming
-    /// the offending job (`job #i (\`name\`): message`).  A no-op when no
-    /// worker panicked.  The iterator re-raises automatically when the
-    /// stream drains; callers that reassemble records afterwards (like
-    /// [`Campaign::run`]) call this again before unwrapping, so a
-    /// cancelled campaign's missing records can never mask the panic.
-    pub fn reraise_worker_panic(&self) {
-        if let Some(message) = self.panic_slot.lock().expect("panic slot lock").take() {
-            panic!("campaign worker panicked at {message}");
-        }
-    }
-}
-
-impl Iterator for CampaignStream {
-    type Item = CampaignRecord;
-
-    /// Yields the next completed record.  When the channel drains because
-    /// a worker *panicked* (rather than because the campaign finished),
-    /// the panic is re-raised here so a truncated campaign can never be
-    /// mistaken for a complete one.
-    fn next(&mut self) -> Option<CampaignRecord> {
-        match self.rx.as_ref()?.recv() {
-            Ok(item) => {
-                self.progress.buffered.fetch_sub(1, Ordering::Relaxed);
-                Some(item)
-            }
-            Err(_) => {
-                self.reraise_worker_panic();
-                None
-            }
-        }
-    }
-}
-
-impl Drop for CampaignStream {
-    fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Relaxed);
-        // Drain (rather than just close) the channel: unblocks any worker
-        // waiting on a full buffer, and accounts every already-buffered
-        // record back out of `buffered`, which must return to 0 on
-        // cancellation instead of leaking the in-flight records.  Workers
-        // see the cancel flag before claiming another job, so this
-        // terminates as soon as in-flight jobs finish.
-        if let Some(rx) = self.rx.take() {
-            for _ in rx.iter() {
-                self.progress.buffered.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -815,26 +514,6 @@ mod tests {
         assert_eq!(stats[511].scenario, "s511");
     }
 
-    /// A shared result cache is purely a memoization layer: the warm
-    /// repeat must reproduce the cold records byte for byte with every job
-    /// answered from the cache.
-    #[test]
-    fn result_cache_warm_repeat_is_byte_identical_and_all_hits() {
-        let scenarios = vec![tiny_scenario("warm"), tiny_scenario("warm-b").with_seed(9)];
-        let cache = Arc::new(crate::cache::ResultCache::new(64));
-        let campaign = Campaign::new(scenarios)
-            .with_seeds([1, 2, 3])
-            .with_workers(2)
-            .with_result_cache(Arc::clone(&cache));
-        let cold = campaign.run();
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 6);
-        let warm = campaign.run();
-        assert_eq!(cold.records, warm.records, "a hit must be byte-identical");
-        assert_eq!(cache.hits(), 6, "the warm pass answers fully from cache");
-        assert_eq!(cache.misses(), 6, "no new simulation on the warm pass");
-    }
-
     /// Records (digests included) are byte-identical whatever the worker
     /// count, and with or without a shared planner-query cache.
     #[test]
@@ -858,25 +537,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_yields_every_job_exactly_once_with_indices() {
-        let campaign = Campaign::new(vec![instant_scenario("s")])
-            .with_seeds((1..=40).collect::<Vec<u64>>())
-            .with_workers(4);
-        let stream = campaign.stream();
-        let progress = stream.progress();
-        assert_eq!(progress.total(), 40);
-        let mut seen: Vec<usize> = stream.map(|r| r.index).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..40).collect::<Vec<usize>>());
-        assert_eq!(progress.executed(), 40);
-    }
-
-    #[test]
     #[should_panic(expected = "campaign worker panicked")]
     fn worker_panics_propagate_to_the_consumer() {
         // A fleet spec on a non-circuit mission panics inside run_scenario;
-        // the campaign must re-raise that instead of yielding a silently
-        // truncated (and seemingly clean) record stream.
+        // the campaign must re-raise that instead of returning a silently
+        // truncated (and seemingly clean) report.
         let poisoned = Scenario::new("poisoned")
             .with_mission(MissionSpec::PlannerQueries {
                 queries: 0,
@@ -891,51 +556,11 @@ mod tests {
             .run();
     }
 
-    /// Regression test for the buffered-counter leak: incrementing
-    /// `buffered` before `tx.send` meant a failed send (consumer dropped
-    /// the stream) left the counter permanently raised — `buffered` and
-    /// `peak_buffered` over-reported on every cancellation.  After the
-    /// fix, every buffered record is accounted back out (consumed,
-    /// discarded by Drop, or rolled back on send failure), so the counter
-    /// returns to exactly 0 once the stream is dropped.
-    #[test]
-    fn buffered_accounting_returns_to_zero_after_a_dropped_stream() {
-        let workers = 4;
-        let capacity = 2;
-        let campaign = Campaign::new(vec![instant_scenario("acct")])
-            .with_seeds((0..200).collect::<Vec<u64>>())
-            .with_workers(workers)
-            .with_channel_capacity(capacity);
-        let mut stream = campaign.stream();
-        let progress = stream.progress();
-        // Consume a few records, then drop mid-campaign with workers
-        // blocked on the full channel.
-        let taken: Vec<_> = stream.by_ref().take(3).collect();
-        assert_eq!(taken.len(), 3);
-        drop(stream); // cancels, drains, joins
-        assert_eq!(
-            progress.buffered(),
-            0,
-            "cancellation must not leak buffered-record accounting"
-        );
-        assert!(
-            progress.peak_buffered() <= workers + capacity + 1,
-            "peak {} exceeds workers + capacity + 1",
-            progress.peak_buffered()
-        );
-        // A fully drained stream also lands on 0.
-        let drained = campaign.stream();
-        let drained_progress = drained.progress();
-        assert_eq!(drained.count(), 200);
-        assert_eq!(drained_progress.buffered(), 0);
-    }
-
-    /// Regression test for the panic-masking path: a job panic cancels the
-    /// campaign, which legitimately leaves other matrix slots empty; the
-    /// drain in `run` must re-raise the *original* `job #i (\`name\`)`
-    /// message from the panic slot rather than dying on a missing-slot
-    /// unwrap.  Four workers, one poisoned job in the middle of the
-    /// matrix.
+    /// Regression test for the panic-masking path: a job panic stops the
+    /// campaign, which legitimately leaves other matrix slots empty; `run`
+    /// must re-raise the *original* `job #i (\`name\`)` message from the
+    /// panic slot rather than dying on a missing-slot unwrap.  Four
+    /// workers, one poisoned job in the middle of the matrix.
     #[test]
     fn panic_reraise_names_the_poisoned_job_under_four_workers() {
         // A fleet spec on a non-circuit mission panics inside run_scenario.
@@ -968,10 +593,9 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_drains_queues_regardless_of_skew() {
-        // 1 long job + many instant jobs, 2 workers: round-robin dealing
-        // gives worker 0 the long job and half the instant ones; worker 1
-        // must steal the rest of worker 0's deque while it is busy.
+    fn shared_claim_counter_drains_a_skewed_matrix() {
+        // 1 long job + many instant jobs, 2 workers: while one worker runs
+        // the long job, the other claims every instant job behind it.
         let mut scenarios = vec![tiny_scenario("long")];
         scenarios.extend((0..15).map(|i| instant_scenario(&format!("quick{i}"))));
         let report = Campaign::new(scenarios).with_workers(2).run();

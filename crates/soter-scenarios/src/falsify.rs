@@ -10,8 +10,8 @@
 //!
 //! 1. **Random restarts** — candidate schedules (targeted node starvation,
 //!    system-wide bursts, phase-locked windows) are drawn from a
-//!    [`ScheduleSpace`] and evaluated as one batch through the
-//!    work-stealing [`Campaign::run`],
+//!    [`ScheduleSpace`] and evaluated as one batch through
+//!    [`Campaign::run`],
 //! 2. **Local search** — while nothing violates, the search perturbs the
 //!    best candidate so far, scored lexicographically by
 //!    (φ_safe + φ_sep violations, Theorem 3.1 monitor violations, mode
@@ -288,7 +288,7 @@ impl Falsifier {
             .with_jitter(JitterSpec::Schedule(schedule.clone()))
     }
 
-    /// Evaluates a batch of schedules through the work-stealing campaign,
+    /// Evaluates a batch of schedules as one campaign,
     /// returning records in batch (matrix) order — deterministic whatever
     /// the worker count.
     pub fn evaluate(&self, schedules: &[JitterSchedule]) -> Vec<RunRecord> {

@@ -11,7 +11,7 @@
 //! the separation monitor.  It counts workspace collision episodes
 //! (φ_safe) per drone and separation violation episodes (φ_sep) per pair,
 //! and folds everything into a digest that hashes trajectories like the
-//! single-drone one, so fleet scenarios campaign, stream and golden-pin
+//! single-drone one, so fleet scenarios campaign, shard and golden-pin
 //! exactly like the paper's original drivers.
 
 use crate::runner::{

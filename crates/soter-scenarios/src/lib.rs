@@ -18,11 +18,9 @@
 //!   [`FleetSpec`] into per-drone stacks over one shared
 //!   workspace and runs them with the separation invariant φ_sep monitored
 //!   on ground truth,
-//! * [`campaign`] — fans a scenario × seed matrix out across a
-//!   work-stealing thread pool with schedule-independent, deterministic
-//!   per-run results; aggregate with a
-//!   [`CampaignReport`] or stream records through
-//!   a bounded channel ([`Campaign::stream`]),
+//! * [`campaign`] — fans a scenario × seed matrix out across a scoped
+//!   thread pool with schedule-independent, deterministic per-run results,
+//!   aggregated into a [`CampaignReport`] in matrix order,
 //! * [`compare`] — cross-filter comparison campaigns: every
 //!   [`FilterKind`](soter_core::rta::FilterKind) scored RTAEval-style over
 //!   a set of base missions, with per-mission ASIF-vs-explicit verdicts,
@@ -71,7 +69,7 @@ mod salt;
 pub mod spec;
 
 pub use cache::{scenario_fingerprint, ResultCache, ScenarioFingerprint};
-pub use campaign::{Campaign, CampaignReport, CampaignStream, RunRecord};
+pub use campaign::{Campaign, CampaignReport, RunRecord};
 pub use falsify::{
     Counterexample, Falsifier, FalsifierConfig, FalsifyReport, ScheduleSpace, SearchMove,
     SearchRound,

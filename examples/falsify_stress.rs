@@ -8,7 +8,7 @@
 //!
 //! 1. run a budgeted random-restart + local-search falsification over
 //!    deterministic schedules (targeted starvation, bursts, phase-locked
-//!    windows), fanned out on the work-stealing campaign engine,
+//!    windows), fanned out on the campaign engine,
 //! 2. shrink the first violating schedule to a minimal counterexample,
 //! 3. save it in the golden-trace text format and replay it — the same
 //!    schedule crashes the same stack every time, on any machine,

@@ -1,6 +1,6 @@
 //! Multi-drone airspace demo: an RTA-protected crossing fleet versus the
-//! same fleet unprotected, then a streaming seed campaign over the
-//! contested corridor.
+//! same fleet unprotected, then a seed campaign over the contested
+//! corridor.
 //!
 //! ```sh
 //! cargo run --release --example multi_drone_airspace
@@ -52,26 +52,20 @@ fn main() {
         println!();
     }
 
-    println!("=== Streaming campaign: contested corridor, 8 seeds ===\n");
-    let campaign = Campaign::new(vec![catalog::airspace_corridor(4, 23, 6.0)])
+    println!("=== Campaign: contested corridor, 8 seeds ===\n");
+    let report = Campaign::new(vec![catalog::airspace_corridor(4, 23, 6.0)])
         .with_seeds((1..=8).collect::<Vec<u64>>())
-        .with_workers(4);
-    let stream = campaign.stream();
-    let progress = stream.progress();
-    // Records arrive in completion order through a bounded channel; a
-    // 10k-run campaign would hold only O(workers) records in memory here.
-    for item in stream {
+        .with_workers(4)
+        .run();
+    // Records come back in matrix order whatever the worker schedule.
+    for (index, record) in report.records.iter().enumerate() {
         println!(
             "  [{}/{}] seed {:>2}: sep violations = {}, mode switches = {}",
-            item.index + 1,
-            progress.total(),
-            item.record.seed,
-            item.record.separation_violations,
-            item.record.mode_switches
+            index + 1,
+            report.runs(),
+            record.seed,
+            record.separation_violations,
+            record.mode_switches
         );
     }
-    println!(
-        "\npeak records buffered: {} (bounded by workers + capacity + 1)",
-        progress.peak_buffered()
-    );
 }

@@ -85,6 +85,17 @@ pub use soter_serve as serve;
 pub use soter_sim as sim;
 pub use soter_vm as vm;
 
+/// The README's `rust` blocks, compiled (not run) as doctests so the front
+/// page cannot name an API that no longer exists.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeExamples;
+
+/// The scenario cookbook's `rust` blocks, compiled (not run) as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../docs/SCENARIOS.md")]
+pub struct ScenarioCookbookExamples;
+
 #[cfg(test)]
 mod tests {
     #[test]

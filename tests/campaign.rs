@@ -1,8 +1,7 @@
 //! Campaign engine integration tests: schedule-independent determinism of
-//! the work-stealing fan-out (single-drone and fleet), bounded-memory
-//! record streaming with early-drop cancellation, and the CI
-//! campaign-smoke matrix (which writes the summary artifact the CI job
-//! uploads).
+//! the shared-counter fan-out (single-drone and fleet), degenerate
+//! campaign configurations, and the CI campaign-smoke matrix (which
+//! writes the summary artifact the CI job uploads).
 
 use soter::drone::stack::{AdvancedKind, Protection};
 use soter::scenarios::campaign::Campaign;
@@ -57,6 +56,7 @@ fn single_run_digest_matches_campaign_digest() {
     assert_eq!(campaign.records.len(), 1);
     assert_eq!(campaign.records[0].digest, direct.digest);
     assert_eq!(campaign.records[0].seed, 5);
+    assert_eq!(campaign.workers, 1, "one job runs on one thread");
 }
 
 /// Fleet determinism: an 8-worker multi-drone campaign is byte-identical
@@ -96,8 +96,8 @@ fn eight_worker_fleet_campaign_matches_sequential_execution() {
     );
 }
 
-/// A quick job for scheduling-focused streaming tests (planner queries
-/// with an empty query budget finish in microseconds).
+/// A quick job for scheduling-focused tests (planner queries with an empty
+/// query budget finish in microseconds).
 fn instant_scenario(name: &str) -> Scenario {
     Scenario::new(name).with_mission(MissionSpec::PlannerQueries {
         queries: 0,
@@ -105,69 +105,10 @@ fn instant_scenario(name: &str) -> Scenario {
     })
 }
 
-/// The bounded-memory gate of the streaming engine: a 1000-run campaign
-/// consumed from the channel never buffers more than
-/// `workers + channel capacity` records at once, however fast the workers
-/// outpace the consumer.
-#[test]
-fn thousand_run_stream_keeps_peak_buffer_bounded() {
-    let workers = 8;
-    let capacity = 16;
-    let campaign = Campaign::new(vec![instant_scenario("stream")])
-        .with_seeds((0..1000).collect::<Vec<u64>>())
-        .with_workers(workers)
-        .with_channel_capacity(capacity);
-    let stream = campaign.stream();
-    let progress = stream.progress();
-    let mut indices: Vec<usize> = stream.map(|r| r.index).collect();
-    indices.sort_unstable();
-    assert_eq!(indices, (0..1000).collect::<Vec<usize>>());
-    assert_eq!(progress.executed(), 1000);
-    assert!(
-        progress.peak_buffered() <= workers + capacity + 1,
-        "peak buffer {} exceeds workers + capacity + 1 = {}",
-        progress.peak_buffered(),
-        workers + capacity + 1
-    );
-}
-
-/// Dropping the stream early cancels outstanding work cleanly: workers
-/// stop picking up queued jobs, the threads join, and no further progress
-/// happens afterwards.
-#[test]
-fn dropping_the_stream_early_cancels_outstanding_work() {
-    // Slow-ish jobs + a tiny channel so workers quickly block on send.
-    let campaign = Campaign::new(vec![Scenario::new("drop").with_mission(
-        MissionSpec::PlannerQueries {
-            queries: 3,
-            bug_probability: 0.1,
-        },
-    )])
-    .with_seeds((0..300).collect::<Vec<u64>>())
-    .with_workers(2)
-    .with_channel_capacity(1);
-    let mut stream = campaign.stream();
-    let progress = stream.progress();
-    let taken: Vec<_> = stream.by_ref().take(3).collect();
-    assert_eq!(taken.len(), 3);
-    drop(stream); // joins the workers
-    let executed = progress.executed();
-    assert!(
-        executed <= 20,
-        "cancellation should strand the queue (executed {executed} of 300)"
-    );
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    assert_eq!(
-        progress.executed(),
-        executed,
-        "no work may continue after the stream is dropped"
-    );
-}
-
 /// Degenerate campaign configurations must terminate cleanly instead of
-/// hanging `stream()` on workers that were never spawned or dividing by
-/// zero in the report.  Three cases: a zero worker count, an empty
-/// scenario list, and an empty seed list.
+/// waiting on workers that were never spawned or dividing by zero in the
+/// report.  Three cases: a zero worker count, an empty scenario list, and
+/// an empty seed list.
 #[test]
 fn zero_workers_are_clamped_and_the_campaign_completes() {
     let report = Campaign::new(vec![instant_scenario("w0")])
@@ -177,12 +118,13 @@ fn zero_workers_are_clamped_and_the_campaign_completes() {
     assert_eq!(report.runs(), 3);
     assert_eq!(report.workers, 1, "a zero worker count clamps to one");
     assert!(report.runs_per_second().is_finite());
-    // The streaming path with the clamped worker count drains too.
-    let stream = Campaign::new(vec![instant_scenario("w0")])
+    // The report names the threads that ran: never more than the jobs.
+    let report = Campaign::new(vec![instant_scenario("w8")])
         .with_seeds([1, 2, 3])
-        .with_workers(0)
-        .stream();
-    assert_eq!(stream.count(), 3);
+        .with_workers(8)
+        .run();
+    assert_eq!(report.workers, 3, "three jobs start three threads");
+    assert!(report.summary().contains("3 runs on 3 workers"));
 }
 
 #[test]
@@ -190,12 +132,12 @@ fn empty_scenario_list_yields_an_empty_report_without_hanging() {
     // Both with and without a seed fan-out: zero scenarios × anything is
     // zero jobs.
     for seeds in [vec![], vec![1u64, 2, 3]] {
-        let campaign = Campaign::new(Vec::new()).with_seeds(seeds).with_workers(4);
-        let stream = campaign.stream();
-        assert_eq!(stream.progress().total(), 0);
-        assert_eq!(stream.count(), 0, "an empty stream must drain immediately");
-        let report = campaign.run();
+        let report = Campaign::new(Vec::new())
+            .with_seeds(seeds)
+            .with_workers(4)
+            .run();
         assert_eq!(report.runs(), 0);
+        assert_eq!(report.workers, 0, "an empty matrix starts no thread");
         assert_eq!(report.total_safety_violations(), 0);
         assert_eq!(
             report.runs_per_second(),
@@ -204,7 +146,7 @@ fn empty_scenario_list_yields_an_empty_report_without_hanging() {
         );
         assert!(report.per_scenario().is_empty());
         // The summary renders (header only) rather than panicking.
-        assert!(report.summary().contains("0 runs"));
+        assert!(report.summary().contains("0 runs on 0 workers"));
     }
 }
 
